@@ -18,10 +18,14 @@ import warnings
 from datetime import datetime, timezone
 from pathlib import Path
 
+import numpy as np
+
 from . import __version__
 from .core import (
     DENSITY_MATRIX_UNITS,
     SpectralDensityMatrix,
+    _hermitian_reprs,
+    _mirror_reprs,
     density_from_pure,
     frequency_jitter_state,
     gaussian_pure,
@@ -182,15 +186,23 @@ def cmd_simulate(args) -> int:
 # ---------------------------------------------------------------------------
 
 def _write_heatmap(path: Path, state: SpectralDensityMatrix) -> None:
+    """CSV `i,j,omega_i,omega_j,re,im,abs`, one row per kernel entry in row-major order.
+
+    Values are shortest round-trip decimals of the same Hermitian fill the
+    density-matrix JSON holds (lower triangle derived from the upper).
+    """
     grid = state.grid
-    lines = ["i,j,omega_i,omega_j,re,im,abs"]
-    for i in range(grid.n):
-        for j in range(grid.n):
-            v = state.rho[i, j]
-            lines.append(
-                f"{i},{j},{grid.omega(i)!r},{grid.omega(j)!r},{v.real!r},{v.imag!r},{abs(v)!r}"
-            )
-    path.write_text("\n".join(lines) + "\n", newline="\n")
+    n = grid.n
+    re, im = _hermitian_reprs(state.rho)
+    upper = state.rho[np.triu_indices(n)]
+    # hypot, not np.abs: numpy's vectorized complex abs can be 1 ulp off libm.
+    magnitude = _mirror_reprs(np.hypot(upper.real, upper.imag), n)
+    omegas = [float.__repr__(grid.omega(i)) for i in range(n)]
+    with open(path, "w", newline="\n") as f:
+        f.write("i,j,omega_i,omega_j,re,im,abs\n")
+        for i, omega_i in enumerate(omegas):
+            cells = enumerate(zip(omegas, re[i], im[i], magnitude[i]))
+            f.write("".join([f"{i},{j},{omega_i},{w},{a},{b},{c}\n" for j, (w, a, b, c) in cells]))
 
 
 def cmd_reconstruct(args) -> int:
@@ -270,7 +282,7 @@ def _params(args) -> dict:
     return params
 
 
-def _add_grid_args(parser, with_defaults=True):
+def _add_grid_args(parser):
     parser.add_argument("--n", type=int, default=64, help="grid points (default 64)")
     parser.add_argument("--span", type=float, default=16.0, help="full grid width (default 16)")
     parser.add_argument("--center", type=float, default=0.0, help="grid center (default 0)")

@@ -149,8 +149,8 @@ class SpectralDensityMatrix:
       * unit trace within TRACE_TOL,
       * real, nonnegative diagonal.
 
-    The `cache` dict memoizes derived quantities (cross-section transforms);
-    it is append-only and excluded from equality.
+    The `cache` dict memoizes derived quantities (cross-section transforms,
+    eigenvalues); it is append-only and excluded from equality.
     """
 
     grid: FrequencyGrid
@@ -162,6 +162,8 @@ class SpectralDensityMatrix:
         m = np.array(self.rho, dtype=np.complex128)
         if m.shape != (n, n):
             raise ValueError(f"kernel must have shape ({n}, {n}), got {m.shape}")
+        if not np.isfinite(m).all():
+            raise ValueError("kernel entries must be finite")
         herm_dev = float(np.max(np.abs(m - m.conj().T)))
         if herm_dev > 0.0:
             raise ValueError(
@@ -190,17 +192,10 @@ class SpectralDensityMatrix:
 
         Symmetrizes to (K + K^dag)/2 (a no-op on already-Hermitian input),
         optionally renormalizes the trace to 1, and rejects kernels whose
-        minimum eigenvalue is below -psd_tol times the maximum one.
+        minimum eigenvalue is below -psd_tol times the maximum one. The
+        eigenvalues stay in the cache for `eigenvalues()` and `validate`.
         """
-        m = np.array(kernel, dtype=np.complex128)
-        if m.shape != (grid.n, grid.n):
-            raise ValueError(f"kernel must have shape ({grid.n}, {grid.n}), got {m.shape}")
-        m = (m + m.conj().T) / 2.0
-        tr = float(np.trace(m).real) * grid.d_omega
-        if renormalize:
-            if not tr > 0.0:
-                raise ValueError(f"cannot renormalize kernel with trace {tr!r}")
-            m = m / tr
+        m = hermitian_part(grid, kernel, renormalize=renormalize)
         w = np.linalg.eigvalsh(m) * grid.d_omega
         w_max = float(w[-1])
         if w_max <= 0.0 or float(w[0]) < -psd_tol * w_max:
@@ -208,14 +203,43 @@ class SpectralDensityMatrix:
                 f"kernel is not positive semidefinite: eigenvalues in "
                 f"[{w[0]:.3e}, {w_max:.3e}], tolerance {psd_tol:.1e}"
             )
-        return cls(grid, m)
+        state = cls(grid, m)
+        w.flags.writeable = False
+        state.cache["eigenvalues"] = w
+        return state
 
     def trace(self) -> float:
         return float(np.trace(self.rho).real) * self.grid.d_omega
 
     def eigenvalues(self) -> np.ndarray:
-        """Dimensionless spectral weights (eigenvalues of rho * d_omega), ascending."""
-        return np.linalg.eigvalsh(self.rho) * self.grid.d_omega
+        """Dimensionless spectral weights (eigenvalues of rho * d_omega), ascending.
+
+        Computed once per state and returned read-only.
+        """
+        w = self.cache.get("eigenvalues")
+        if w is None:
+            w = np.linalg.eigvalsh(self.rho) * self.grid.d_omega
+            w.flags.writeable = False
+            self.cache["eigenvalues"] = w
+        return w
+
+
+def hermitian_part(grid: FrequencyGrid, kernel, *, renormalize: bool = True) -> np.ndarray:
+    """(K + K^dag)/2 of an n x n kernel, optionally scaled to unit trace.
+
+    The symmetrize-and-renormalize step of `SpectralDensityMatrix.from_kernel`,
+    without its eigenvalue check.
+    """
+    m = np.array(kernel, dtype=np.complex128)
+    if m.shape != (grid.n, grid.n):
+        raise ValueError(f"kernel must have shape ({grid.n}, {grid.n}), got {m.shape}")
+    m = (m + m.conj().T) / 2.0
+    if renormalize:
+        tr = float(np.trace(m).real) * grid.d_omega
+        if not tr > 0.0:
+            raise ValueError(f"cannot renormalize kernel with trace {tr!r}")
+        m = m / tr
+    return m
 
 
 def gaussian_pure(
@@ -403,16 +427,18 @@ def validate(state, grid: FrequencyGrid | None = None) -> ValidationReport:
     deviation is measured on the input as given.
     """
     if isinstance(state, SpectralDensityMatrix):
+        # Exactly Hermitian, so its symmetrized part is itself.
         m, grid = state.rho, state.grid
+        w = state.eigenvalues()
     else:
         if grid is None:
             raise ValueError("grid is required when validating a raw matrix")
         m = np.asarray(state, dtype=np.complex128)
         if m.shape != (grid.n, grid.n):
             raise ValueError(f"matrix must have shape ({grid.n}, {grid.n}), got {m.shape}")
+        w = np.linalg.eigvalsh((m + m.conj().T) / 2.0) * grid.d_omega
     herm_dev = float(np.max(np.abs(m - m.conj().T)))
     tr = float(np.trace(m).real) * grid.d_omega
-    w = np.linalg.eigvalsh((m + m.conj().T) / 2.0) * grid.d_omega
     min_eig, max_eig = float(w[0]), float(w[-1])
     diag = m.diagonal()
     min_diag = float(diag.real.min())
@@ -435,22 +461,32 @@ def validate(state, grid: FrequencyGrid | None = None) -> ValidationReport:
 # Density-matrix interchange format (JSON)
 # ---------------------------------------------------------------------------
 
-def density_matrix_to_dict(state: SpectralDensityMatrix, units: str = DENSITY_MATRIX_UNITS) -> dict:
-    """Interchange dict: row-major [re, im] pairs, lower triangle derived from upper."""
-    n = state.grid.n
-    m = state.rho
-    pairs = []
-    for i in range(n):
-        for j in range(n):
-            v = m[i, j] if i <= j else m[j, i].conjugate()
-            pairs.append([float(v.real), float(v.imag)])
-    return {
-        "omega_min": state.grid.omega_min,
-        "d_omega": state.grid.d_omega,
-        "n": n,
-        "units": units,
-        "rho": pairs,
-    }
+def _mirror_reprs(upper: np.ndarray, n: int, *, negate_lower: bool = False) -> list[list[str]]:
+    """Row-major n x n shortest-repr strings filled from an upper triangle.
+
+    `upper` holds the real entries on and above the diagonal in
+    `np.triu_indices(n)` order. Each is formatted once; entry (j, i) below the
+    diagonal reuses the string of (i, j), sign-flipped if `negate_lower`,
+    which is exactly `repr(-x)` for finite x (0.0 becomes -0.0).
+    """
+    rows, cols = np.triu_indices(n)
+    above = list(map(float.__repr__, upper.tolist()))
+    below = [s[1:] if s[0] == "-" else "-" + s for s in above] if negate_lower else above
+    out = np.empty((n, n), dtype=object)
+    out[cols, rows] = below
+    out[rows, cols] = above
+    return out.tolist()
+
+
+def _hermitian_reprs(m: np.ndarray) -> tuple[list[list[str]], list[list[str]]]:
+    """Row-major repr strings of Re and Im of the Hermitian fill of `m`.
+
+    The fill takes m[i, j] for i <= j and conj(m[j, i]) below the diagonal,
+    so what is written is exactly Hermitian whatever the lower triangle holds.
+    """
+    n = m.shape[0]
+    upper = m[np.triu_indices(n)]
+    return _mirror_reprs(upper.real, n), _mirror_reprs(upper.imag, n, negate_lower=True)
 
 
 def density_matrix_from_dict(doc: dict) -> SpectralDensityMatrix:
@@ -461,13 +497,22 @@ def density_matrix_from_dict(doc: dict) -> SpectralDensityMatrix:
         pairs = doc["rho"]
     except (KeyError, TypeError, ValueError) as exc:
         raise DataFormatError(f"malformed density-matrix document: {exc}") from exc
-    if len(pairs) != n * n:
-        raise DataFormatError(f"expected {n * n} kernel entries, got {len(pairs)}")
     try:
-        flat = np.array([complex(re, im) for re, im in pairs], dtype=np.complex128)
-    except (TypeError, ValueError) as exc:
+        entries = np.asarray(pairs)
+    except (TypeError, ValueError) as exc:  # ragged nesting
         raise DataFormatError(f"kernel entries must be [re, im] pairs: {exc}") from exc
-    kernel = flat.reshape(n, n)
+    count = len(entries) if entries.ndim else 0
+    if count != n * n:
+        raise DataFormatError(f"expected {n * n} kernel entries, got {count}")
+    if entries.shape != (n * n, 2) or entries.dtype.kind not in "iuf":
+        raise DataFormatError(
+            f"kernel entries must be [re, im] pairs of numbers, got shape "
+            f"{entries.shape} of {entries.dtype}"
+        )
+    entries = np.ascontiguousarray(entries, dtype=np.float64)
+    if not np.isfinite(entries).all():
+        raise DataFormatError("kernel entries must be finite numbers, found NaN or Infinity")
+    kernel = entries.view(np.complex128).reshape(n, n)
     try:
         grid = FrequencyGrid(omega_min=omega_min, d_omega=d_omega, n=n)
         return SpectralDensityMatrix.from_kernel(grid, kernel, renormalize=False)
@@ -476,7 +521,22 @@ def density_matrix_from_dict(doc: dict) -> SpectralDensityMatrix:
 
 
 def save_density_matrix(path, state: SpectralDensityMatrix, units: str = DENSITY_MATRIX_UNITS) -> None:
-    Path(path).write_text(json.dumps(density_matrix_to_dict(state, units)) + "\n")
+    """Write `{omega_min, d_omega, n, units, rho}` JSON, `rho` as row-major [re, im] pairs.
+
+    The lower triangle is derived from the upper, so the file is exactly
+    Hermitian; the bytes are those `json.dumps` gives for the same document.
+    """
+    grid = state.grid
+    header = json.dumps(
+        {"omega_min": grid.omega_min, "d_omega": grid.d_omega, "n": grid.n, "units": units, "rho": []}
+    )
+    re, im = _hermitian_reprs(state.rho)
+    with open(path, "w") as f:
+        f.write(header[:-2])  # drop the closing "]}" of the empty rho list
+        for i, (re_row, im_row) in enumerate(zip(re, im)):
+            f.write(", " if i else "")
+            f.write(", ".join([f"[{a}, {b}]" for a, b in zip(re_row, im_row)]))
+        f.write("]}\n")
 
 
 def load_density_matrix(path) -> SpectralDensityMatrix:

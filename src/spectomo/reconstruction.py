@@ -5,9 +5,10 @@ the mode overlap directly: gamma_hat = P_delta(theta=0) - i*P_delta(theta=pi/2).
 For each frequency shift, the theta=0 and theta=pi/2 scans over the delay grid
 give Re and -Im of gamma * G_delta(tau); dividing by gamma_hat and inverting
 the Fourier transform (an IFFT plus the explicit phase ramp from omega_min)
-recovers one kernel band. Bands assemble into the lower triangle, the upper
-follows from Hermitian symmetry, and eigenvalue clipping projects the noisy
-estimate to the nearest unit-trace positive matrix.
+recovers one kernel band. Bands assemble into the lower triangle and the upper
+follows from Hermitian symmetry. The noisy estimate is then made physical by
+setting its negative eigenvalues to zero and rescaling the rest to unit trace;
+this is not the nearest unit-trace positive matrix in Hilbert-Schmidt distance.
 """
 
 from __future__ import annotations
@@ -21,6 +22,7 @@ from . import diagnostics
 from .core import (
     FrequencyGrid,
     SpectralDensityMatrix,
+    hermitian_part,
     hs_distance,
     hs_overlap,
     purity,
@@ -201,7 +203,9 @@ def project_physical(
     """Clip negative eigenvalues and renormalize the trace to 1.
 
     Returns the projected state and the smallest pre-projection eigenvalue
-    (dimensionless, i.e. of rho * d_omega).
+    (dimensionless, i.e. of rho * d_omega). The clipped kernel is positive
+    semidefinite by construction, so it is symmetrized and renormalized as
+    `from_kernel` does but not diagonalized a second time.
     """
     m = np.asarray(rho_raw, dtype=np.complex128)
     if m.shape != (grid.n, grid.n):
@@ -214,7 +218,7 @@ def project_physical(
     if not total > 0.0:
         raise DegenerateInputError("no positive spectral weight to project onto")
     kernel = (vecs * (clipped / total)) @ vecs.conj().T / grid.d_omega
-    return SpectralDensityMatrix.from_kernel(grid, kernel), min_eig
+    return SpectralDensityMatrix(grid, hermitian_part(grid, kernel)), min_eig
 
 
 def reconstruct_records(

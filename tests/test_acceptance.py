@@ -29,19 +29,11 @@ from spectomo import (
     time_jitter_state,
 )
 from spectomo.measurement import _setting_rng, estimate_p_delta, write_p_delta_table
-from conftest import random_contained_state
+from conftest import exact_records, random_contained_state
 
 IDEAL = InterferometerConfig()
 
 pytestmark = pytest.mark.filterwarnings("ignore::UserWarning")
-
-
-def _exact_records(state, config=IDEAL, max_delta_index=None, shots=1000, seed=0):
-    grid = state.grid
-    if max_delta_index is None:
-        max_delta_index = grid.n - 1
-    plan = plan_scan(grid, max_delta_index, shots, seed)
-    return simulate_counts(state, plan, config, exact=True)
 
 
 def test_criterion_1_forward_model_triple_agreement():
@@ -92,7 +84,7 @@ def test_criterion_3_exact_round_trip(standard_states):
     started = time.perf_counter()
     worst = 0.0
     for name, state in standard_states.items():
-        result = reconstruct_records(_exact_records(state), state.grid)
+        result = reconstruct_records(exact_records(state), state.grid)
         err = hs_distance(result.rho_pre_projection, state.rho, state.grid)
         assert err < 1e-10, (name, err)
         worst = max(worst, err)
@@ -107,7 +99,7 @@ def test_criterion_3_exact_round_trip(standard_states):
 def _table_g_magnitudes(tmp_path, state, name):
     """|G_0(tau)| extracted from an emitted P_delta table."""
     grid = state.grid
-    records = _exact_records(state, max_delta_index=0)
+    records = exact_records(state, max_delta_index=0)
     path = tmp_path / f"{name}.csv"
     write_p_delta_table(path, records, grid)
     p0 = np.full(grid.n, np.nan)
@@ -161,7 +153,7 @@ def test_criterion_4b_mixture_beat(tmp_path):
 def test_criterion_4c_frequency_jitter_broadening(standard_states):
     state = standard_states["freq-jitter"]  # sigma = 1, jitter = 2 on span 24
     grid = state.grid
-    result = reconstruct_records(_exact_records(state), grid)
+    result = reconstruct_records(exact_records(state), grid)
     diag = result.rho_hat.rho.diagonal().real * grid.d_omega
     mean = float(np.sum(grid.omegas * diag))
     var = float(np.sum((grid.omegas - mean) ** 2 * diag))
@@ -177,12 +169,12 @@ def test_criterion_4c_frequency_jitter_broadening(standard_states):
 def test_criterion_5_gamma_calibration(standard_states):
     state = standard_states["chirped-gaussian"]
     grid = state.grid
-    reference = reconstruct_records(_exact_records(state), grid).rho_pre_projection
+    reference = reconstruct_records(exact_records(state), grid).rho_pre_projection
     worst_gamma = 0.0
     worst_recon = 0.0
     for gamma in (1.0, 0.8, 0.5, 0.8 * cmath.exp(1j * math.pi / 6)):
         config = InterferometerConfig(gamma=gamma)
-        result = reconstruct_records(_exact_records(state, config), grid)
+        result = reconstruct_records(exact_records(state, config), grid)
         worst_gamma = max(worst_gamma, abs(result.gamma_hat - gamma))
         worst_recon = max(
             worst_recon, hs_distance(result.rho_pre_projection, reference, grid)
@@ -198,7 +190,7 @@ def test_criterion_5_gamma_calibration(standard_states):
 def test_criterion_6_delta_zero_restriction(standard_states):
     state = standard_states["chirped-gaussian"]
     grid = state.grid
-    result = reconstruct_records(_exact_records(state, max_delta_index=0), grid)
+    result = reconstruct_records(exact_records(state, max_delta_index=0), grid)
     raw = result.rho_pre_projection
     off_diagonal = raw - np.diag(raw.diagonal())
     assert np.all(off_diagonal == 0.0)

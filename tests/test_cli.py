@@ -1,13 +1,17 @@
 import json
 import math
+import os
 import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import spectomo
 from spectomo import hs_distance, load_density_matrix, purity
 from spectomo.cli import main
+from conftest import MALFORMED_RHO
 
 pytestmark = pytest.mark.filterwarnings("ignore::UserWarning")
 
@@ -207,20 +211,48 @@ def test_reconstruct_grid_from_flags(tmp_path):
 
 
 def test_reconstruct_heatmap(tmp_path):
-    state = _gen(tmp_path, extra=["--n", "16"])
+    state = _gen(tmp_path, extra=["--n", "16", "--omega0", "0.5"])
     csv = tmp_path / "records.csv"
     assert main(["simulate", str(state), "--out", str(csv), "--exact"]) == 0
     heatmap = tmp_path / "heat.csv"
+    out = tmp_path / "x.json"
     code = main(
         [
-            "reconstruct", str(csv), "--out", str(tmp_path / "x.json"),
+            "reconstruct", str(csv), "--out", str(out),
             "--n", "16", "--heatmap-out", str(heatmap),
         ]
     )
     assert code == 0
-    lines = heatmap.read_text().splitlines()
+    lines = heatmap.read_bytes().decode("ascii").split("\n")
     assert lines[0] == "i,j,omega_i,omega_j,re,im,abs"
-    assert len(lines) == 1 + 16 * 16
+    assert lines[-1] == ""
+    rows = [line.split(",") for line in lines[1:-1]]
+    assert len(rows) == 16 * 16
+    # every cell is a plain decimal, and the values are the saved JSON's
+    grid = load_density_matrix(out).grid
+    pairs = json.loads(out.read_text())["rho"]
+    for k, (i, j, omega_i, omega_j, re, im, mag) in enumerate(rows):
+        assert (int(i), int(j)) == divmod(k, 16)
+        assert float(omega_i) == grid.omega(int(i))
+        assert float(omega_j) == grid.omega(int(j))
+        assert [re, im] == [repr(v) for v in pairs[k]]
+        assert float(mag) == abs(complex(*pairs[k]))
+
+
+@pytest.mark.parametrize("case", sorted(MALFORMED_RHO))
+def test_reconstruct_rejects_malformed_truth(tmp_path, capsys, case):
+    state = _gen(tmp_path, extra=["--n", "8", "--span", "8"])
+    csv = tmp_path / "records.csv"
+    assert main(["simulate", str(state), "--out", str(csv), "--exact"]) == 0
+    out = tmp_path / "x.json"
+    assert main(["reconstruct", str(csv), "--out", str(out), "--truth", str(state)]) == 0
+    doc = json.loads(state.read_text())
+    doc["rho"] = MALFORMED_RHO[case](doc["rho"])
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps(doc))
+    capsys.readouterr()
+    assert main(["reconstruct", str(csv), "--out", str(out), "--truth", str(bad)]) == 3
+    assert "kernel entries" in capsys.readouterr().err
 
 
 def test_reconstruct_malformed_csv(tmp_path):
@@ -291,16 +323,21 @@ def test_manifest_written_for_every_output(tmp_path):
 
 
 def test_module_entry_point(tmp_path):
+    # The child imports the same package the tests do, however pytest found it.
+    env = dict(os.environ)
+    package_root = str(Path(spectomo.__file__).resolve().parent.parent)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [package_root, env.get("PYTHONPATH")]))
     out = tmp_path / "state.json"
     proc = subprocess.run(
         [sys.executable, "-m", "spectomo", "gen-state", "gaussian", "--out", str(out)],
         capture_output=True,
         text=True,
+        env=env,
     )
     assert proc.returncode == 0, proc.stderr
     assert out.exists()
     proc = subprocess.run(
-        [sys.executable, "-m", "spectomo", "--version"], capture_output=True, text=True
+        [sys.executable, "-m", "spectomo", "--version"], capture_output=True, text=True, env=env
     )
     assert proc.returncode == 0
     assert "spectomo" in proc.stdout

@@ -28,18 +28,9 @@ from spectomo import (
     report,
     simulate_counts,
 )
+from conftest import exact_records
 
 IDEAL = InterferometerConfig()
-
-
-def _exact_records(state, config=IDEAL, max_delta_index=None, shots=1000, seed=0):
-    grid = state.grid
-    if max_delta_index is None:
-        max_delta_index = grid.n - 1
-    plan = plan_scan(grid, max_delta_index, shots, seed)
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore")
-        return simulate_counts(state, plan, config, exact=True)
 
 
 def _sampled_records(state, shots, seed, config=IDEAL, max_delta_index=None):
@@ -58,7 +49,7 @@ def _sampled_records(state, shots, seed, config=IDEAL, max_delta_index=None):
 
 def test_calibrate_ideal(grid64):
     rho = density_from_pure(gaussian_pure(grid64, 0.0, 1.0))
-    gamma_hat = calibrate_gamma(_exact_records(rho, max_delta_index=0))
+    gamma_hat = calibrate_gamma(exact_records(rho, max_delta_index=0))
     assert gamma_hat == pytest.approx(1.0, abs=1e-12)
 
 
@@ -68,13 +59,13 @@ def test_calibrate_ideal(grid64):
 def test_calibrate_recovers_gamma(grid64, gamma):
     rho = density_from_pure(gaussian_pure(grid64, 0.0, 1.0))
     config = InterferometerConfig(gamma=gamma)
-    gamma_hat = calibrate_gamma(_exact_records(rho, config, max_delta_index=0))
+    gamma_hat = calibrate_gamma(exact_records(rho, config, max_delta_index=0))
     assert gamma_hat == pytest.approx(gamma, abs=1e-10)
 
 
 def test_calibrate_missing_rows(grid64):
     rho = density_from_pure(gaussian_pure(grid64, 0.0, 1.0))
-    records = _exact_records(rho, max_delta_index=0)
+    records = exact_records(rho, max_delta_index=0)
     only_theta0 = [r for r in records if r.setting.theta == 0.0]
     with pytest.raises(CalibrationMissingError):
         calibrate_gamma(only_theta0)
@@ -99,7 +90,7 @@ def test_calibrate_clamps_excess_visibility():
 
 def test_cross_section_estimate_matches_forward(grid64, standard_states):
     rho = standard_states["two-gaussian-mixture"]
-    records = _exact_records(rho, max_delta_index=3)
+    records = exact_records(rho, max_delta_index=3)
     for m in range(4):
         group = [r for r in records if r.setting.delta_index == m]
         est = estimate_cross_section(group, 1.0 + 0.0j, grid64)
@@ -119,7 +110,7 @@ def test_cross_section_estimate_gamma_invariance(grid64):
     out = {}
     for gamma in (1.0, 0.5):
         config = InterferometerConfig(gamma=gamma)
-        records = _exact_records(rho, config, max_delta_index=2)
+        records = exact_records(rho, config, max_delta_index=2)
         gamma_hat = calibrate_gamma(records)
         group = [r for r in records if r.setting.delta_index == 2]
         out[gamma] = estimate_cross_section(group, gamma_hat, grid64).g_of_tau
@@ -130,7 +121,7 @@ def test_cross_section_estimate_missing_theta_rows(grid64):
     rho = density_from_pure(gaussian_pure(grid64, 0.0, 1.0))
     records = [
         r
-        for r in _exact_records(rho, max_delta_index=0)
+        for r in exact_records(rho, max_delta_index=0)
         if not (r.setting.delta_index == 0 and r.setting.theta > 1.0 and r.tau_index == 5)
     ]
     group = [r for r in records if r.setting.delta_index == 0]
@@ -141,7 +132,7 @@ def test_cross_section_estimate_missing_theta_rows(grid64):
 
 def test_cross_section_estimate_visibility_floor(grid64):
     rho = density_from_pure(gaussian_pure(grid64, 0.0, 1.0))
-    records = _exact_records(rho, max_delta_index=0)
+    records = exact_records(rho, max_delta_index=0)
     with pytest.raises(VisibilityTooLowError):
         estimate_cross_section(records, 0.01 + 0.0j, grid64)
 
@@ -275,7 +266,7 @@ def test_projection_distance_shrinks_with_shots():
 
 def test_exact_round_trip_all_fixtures(standard_states):
     for name, rho in standard_states.items():
-        result = reconstruct_records(_exact_records(rho), rho.grid)
+        result = reconstruct_records(exact_records(rho), rho.grid)
         err = hs_distance(result.rho_pre_projection, rho.rho, rho.grid)
         assert err < 1e-10, (name, err)
         assert result.gamma_hat == pytest.approx(1.0, abs=1e-10)
@@ -287,7 +278,7 @@ def test_calibration_invariance_of_reconstruction(grid64):
     reference = None
     for gamma in (1.0, 0.55, 0.1):
         config = InterferometerConfig(gamma=gamma)
-        result = reconstruct_records(_exact_records(rho, config), grid64)
+        result = reconstruct_records(exact_records(rho, config), grid64)
         if reference is None:
             reference = result.rho_pre_projection
         else:
@@ -301,8 +292,8 @@ def test_phase_sensitivity(grid64, standard_states):
     np.testing.assert_allclose(
         plain.rho.diagonal().real, chirped.rho.diagonal().real, atol=1e-12
     )
-    r_plain = reconstruct_records(_exact_records(plain), grid64)
-    r_chirped = reconstruct_records(_exact_records(chirped), grid64)
+    r_plain = reconstruct_records(exact_records(plain), grid64)
+    r_chirped = reconstruct_records(exact_records(chirped), grid64)
     gap = hs_distance(r_plain.rho_hat.rho, r_chirped.rho_hat.rho, grid64)
     assert gap > 0.1
 
@@ -313,7 +304,7 @@ def test_delta_truncation_monotonicity(standard_states):
     errors = []
     for max_delta_index in (0, 4, 16, grid.n - 1):
         result = reconstruct_records(
-            _exact_records(rho, max_delta_index=max_delta_index), grid
+            exact_records(rho, max_delta_index=max_delta_index), grid
         )
         errors.append(hs_distance(result.rho_pre_projection, rho.rho, grid))
     assert all(a >= b - 1e-12 for a, b in zip(errors, errors[1:]))
@@ -340,7 +331,7 @@ def test_noise_scaling_with_shots():
 
 def test_reconstruction_result_warnings_collected(standard_states):
     rho = standard_states["pure-gaussian"]
-    result = reconstruct_records(_exact_records(rho, max_delta_index=0), rho.grid)
+    result = reconstruct_records(exact_records(rho, max_delta_index=0), rho.grid)
     assert any(d.code == "bandwidth-truncation" for d in result.warnings)
 
 
@@ -350,7 +341,7 @@ def test_reconstruction_result_warnings_collected(standard_states):
 
 def test_report_self_comparison(standard_states):
     rho = standard_states["time-jitter"]
-    result = reconstruct_records(_exact_records(rho), rho.grid)
+    result = reconstruct_records(exact_records(rho), rho.grid)
     doc = report(result, truth=result.rho_hat)
     assert doc.hs_distance == pytest.approx(0.0, abs=1e-14)
     assert doc.overlap == pytest.approx(purity(result.rho_hat), abs=1e-12)
@@ -359,7 +350,7 @@ def test_report_self_comparison(standard_states):
 def test_report_round_trip_purity(standard_states):
     for name in ("pure-gaussian", "freq-jitter"):
         rho = standard_states[name]
-        result = reconstruct_records(_exact_records(rho), rho.grid)
+        result = reconstruct_records(exact_records(rho), rho.grid)
         doc = report(result, truth=rho)
         expected = 1.0 if name == "pure-gaussian" else purity(rho)
         tol = 1e-8 if name == "pure-gaussian" else 1e-6
@@ -382,6 +373,6 @@ def test_report_grid_mismatch(standard_states):
 
     rho = standard_states["pure-gaussian"]
     other = density_from_pure(gaussian_pure(make_grid(0.0, 16.0, 32), 0.0, 1.0))
-    result = reconstruct_records(_exact_records(rho), rho.grid)
+    result = reconstruct_records(exact_records(rho), rho.grid)
     with pytest.raises(GridMismatchError):
         report(result, truth=other)
