@@ -50,6 +50,7 @@ from .interferometer import (
 from .measurement import (
     MeasurementRecord,
     ScanPlan,
+    ScanTable,
     estimate_p_delta,
     plan_scan,
     pool_records,

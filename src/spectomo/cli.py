@@ -193,7 +193,7 @@ def _write_heatmap(path: Path, state: SpectralDensityMatrix) -> None:
     """
     grid = state.grid
     n = grid.n
-    re, im = _hermitian_reprs(state.rho)
+    re, im = _hermitian_reprs(state)
     upper = state.rho[np.triu_indices(n)]
     # hypot, not np.abs: numpy's vectorized complex abs can be 1 ulp off libm.
     magnitude = _mirror_reprs(np.hypot(upper.real, upper.imag), n)

@@ -150,7 +150,8 @@ class SpectralDensityMatrix:
       * real, nonnegative diagonal.
 
     The `cache` dict memoizes derived quantities (cross-section transforms,
-    eigenvalues); it is append-only and excluded from equality.
+    eigenvalues, the formatted entries); it is append-only and excluded from
+    equality.
     """
 
     grid: FrequencyGrid
@@ -478,15 +479,21 @@ def _mirror_reprs(upper: np.ndarray, n: int, *, negate_lower: bool = False) -> l
     return out.tolist()
 
 
-def _hermitian_reprs(m: np.ndarray) -> tuple[list[list[str]], list[list[str]]]:
-    """Row-major repr strings of Re and Im of the Hermitian fill of `m`.
+def _hermitian_reprs(state: SpectralDensityMatrix) -> tuple[list[list[str]], list[list[str]]]:
+    """Row-major repr strings of Re and Im of the Hermitian fill of `state.rho`.
 
     The fill takes m[i, j] for i <= j and conj(m[j, i]) below the diagonal,
     so what is written is exactly Hermitian whatever the lower triangle holds.
+    Memoized in `state.cache`, so the JSON writer and the CLI heatmap format
+    each float once between them.
     """
-    n = m.shape[0]
-    upper = m[np.triu_indices(n)]
-    return _mirror_reprs(upper.real, n), _mirror_reprs(upper.imag, n, negate_lower=True)
+    hit = state.cache.get("reprs")
+    if hit is None:
+        n = state.grid.n
+        upper = state.rho[np.triu_indices(n)]
+        hit = (_mirror_reprs(upper.real, n), _mirror_reprs(upper.imag, n, negate_lower=True))
+        state.cache["reprs"] = hit
+    return hit
 
 
 def density_matrix_from_dict(doc: dict) -> SpectralDensityMatrix:
@@ -530,7 +537,7 @@ def save_density_matrix(path, state: SpectralDensityMatrix, units: str = DENSITY
     header = json.dumps(
         {"omega_min": grid.omega_min, "d_omega": grid.d_omega, "n": grid.n, "units": units, "rho": []}
     )
-    re, im = _hermitian_reprs(state.rho)
+    re, im = _hermitian_reprs(state)
     with open(path, "w") as f:
         f.write(header[:-2])  # drop the closing "]}" of the empty rho list
         for i, (re_row, im_row) in enumerate(zip(re, im)):

@@ -13,7 +13,8 @@ the transverse-mode overlap of the two arms at the recombiner. Three
 independent routes to the same number are provided: the composed conditional
 state (its trace), a direct Riemann sum of the four-term probability
 integrand, and the closed form through `cross_section_transform`. The direct
-Riemann sum is the authoritative sign convention.
+Riemann sum is the authoritative sign convention. `band_transforms` stacks
+the closed form's G_delta rows for a whole scan.
 
 Frequency shifts are grid-aligned only (delta = k * d_omega), so shifted
 kernels stay on the grid with no interpolation; entries shifted past the grid
@@ -264,6 +265,21 @@ def _cross_section_cached(
         hit = (g, shifted_trace_deficit(state, k))
         state.cache[key] = hit
     return hit
+
+
+def band_transforms(state: SpectralDensityMatrix, delta_indices) -> np.ndarray:
+    """G_delta for several shifts as one (len(delta_indices), n) array.
+
+    Row r is `cross_section_transform(state, delta_indices[r])`. A band that
+    pushes mass off the grid emits its support-clipping diagnostic once here,
+    not once per setting that reads it.
+    """
+    rows = []
+    for k in delta_indices:
+        g, deficit = _cross_section_cached(state, k)
+        _warn_clipping(deficit, k)
+        rows.append(g)
+    return np.array(rows).reshape(len(rows), state.grid.n)
 
 
 def probabilities_closed_form(

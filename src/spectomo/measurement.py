@@ -10,10 +10,15 @@ reproducible no matter how the settings are fanned out across workers.
 Exact-probabilities mode bypasses sampling entirely: every shot is kept and
 counts are the real-valued products shots * P_A, which separates
 discretization error from shot noise in round-trip checks.
+
+Scan data moves as one `ScanTable`: a column per record field, validated
+once on construction. Iterating or indexing it yields `MeasurementRecord`
+rows.
 """
 
 from __future__ import annotations
 
+import cmath
 import math
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -26,11 +31,12 @@ from .errors import DataFormatError, InsufficientDataError
 from .interferometer import (
     InterferometerConfig,
     MeasurementSetting,
-    probabilities_closed_form,
+    band_transforms,
     require_post_selected_regime,
 )
 
 THETAS = (0.0, math.pi / 2.0)
+THETA_TOL = 1e-9  # a row's theta must lie this close to one of THETAS
 
 RECORD_HEADER = "delta_index,tau_index,theta_rad,shots_attempted,shots_postselected,counts_A,counts_B"
 P_DELTA_HEADER = "delta_index,tau_index,tau,theta_rad,p_delta,stderr"
@@ -63,6 +69,182 @@ class MeasurementRecord:
             raise ValueError(
                 f"counts_A + counts_B = {total} != shots_postselected = {self.shots_postselected}"
             )
+
+
+def _row(delta_index, tau_index, theta, tau, attempted, post, counts_a, counts_b):
+    """A `MeasurementRecord` of one table row; the table already validated it."""
+    setting = object.__new__(MeasurementSetting)
+    setting.__dict__.update(tau=tau, delta_index=delta_index, theta=theta)
+    record = object.__new__(MeasurementRecord)
+    record.__dict__.update(
+        setting=setting,
+        tau_index=tau_index,
+        shots_attempted=attempted,
+        shots_postselected=post,
+        counts_a=counts_a,
+        counts_b=counts_b,
+    )
+    return record
+
+
+_COLUMNS = (
+    "delta_index", "tau_index", "theta", "tau",
+    "shots_attempted", "shots_postselected", "counts_a", "counts_b",
+)
+_INT_COLUMNS = ("delta_index", "tau_index", "shots_attempted")
+_FLOAT_COLUMNS = ("theta", "tau")
+_SUMMED = ("shots_attempted", "shots_postselected", "counts_a", "counts_b")
+
+
+def _column(name: str, values) -> np.ndarray:
+    a = np.asarray(values)
+    if a.ndim != 1:
+        raise ValueError(f"column {name} must be 1-D, got shape {a.shape}")
+    if name in _FLOAT_COLUMNS:
+        return a.astype(np.float64)
+    if a.dtype.kind in "biu" or (a.size == 0 and name in _INT_COLUMNS):
+        return a.astype(np.int64)
+    if name in _INT_COLUMNS:
+        raise ValueError(f"column {name} must hold integers, got {a.dtype}")
+    return a.astype(np.float64)
+
+
+def _first_invalid(cols: dict, checks=()) -> tuple[int, str] | None:
+    """First row breaking a `MeasurementRecord` invariant, and the reason.
+
+    `checks` are extra (mask, message(row)) pairs tried before the
+    record invariants, in order, for each row.
+    """
+    delta, tau_index, theta = cols["delta_index"], cols["tau_index"], cols["theta"]
+    attempted, post = cols["shots_attempted"], cols["shots_postselected"]
+    a, b = cols["counts_a"], cols["counts_b"]
+    total = a + b
+    with np.errstate(invalid="ignore"):  # inf - inf; such rows fail below
+        # math.isclose(total, post, rel_tol=1e-9, abs_tol=1e-9), row by row
+        tol = np.maximum(1e-9 * np.maximum(np.abs(total), np.abs(post)), 1e-9)
+        close = (total == post) | (np.abs(post - total) <= tol)
+
+    def value(col, row):
+        return col[row].item()
+
+    checks = list(checks) + [
+        (delta < 0, lambda r: f"delta_index must be nonnegative, got {value(delta, r)}"),
+        (tau_index < 0, lambda r: f"tau_index must be nonnegative, got {value(tau_index, r)}"),
+        (
+            ~((np.abs(theta - THETAS[0]) <= THETA_TOL) | (np.abs(theta - THETAS[1]) <= THETA_TOL)),
+            lambda r: f"theta_rad must be 0 or pi/2 (the two tomography phases), got {value(theta, r)!r}",
+        ),
+        ((attempted < 0) | (a < 0) | (b < 0), lambda r: "shot and count fields must be nonnegative"),
+        (
+            post > attempted + 1e-9,
+            lambda r: f"post-selected shots ({value(post, r)}) exceed attempted ({value(attempted, r)})",
+        ),
+        (
+            ~close,
+            lambda r: f"counts_A + counts_B = {value(a, r) + value(b, r)} != "
+            f"shots_postselected = {value(post, r)}",
+        ),
+    ]
+    bad = np.zeros(len(delta), dtype=bool)
+    for mask, _ in checks:
+        bad |= mask
+    if not bad.any():
+        return None
+    row = int(np.argmax(bad))
+    return row, next(message(row) for mask, message in checks if mask[row])
+
+
+class ScanTable:
+    """Scan data as a struct of arrays: one row per measured setting.
+
+    Columns, all 1-D and read-only: `delta_index`, `tau_index`, `theta`
+    (rad, within THETA_TOL of 0 or pi/2), `tau` (s), `shots_attempted`,
+    `shots_postselected`, `counts_a`, `counts_b`. Index and attempted-shot
+    columns are int64; the other count columns are int64 from sampling and
+    float64 from exact mode. Construction checks every row against the
+    `MeasurementRecord` invariants at once and names the first bad row.
+
+    `len()` counts rows; iterating, or indexing with an integer, yields
+    `MeasurementRecord` rows; any other index (slice, mask, index array)
+    selects a sub-table. Tables compare equal column by column, and to a
+    list of records row by row.
+    """
+
+    __slots__ = _COLUMNS
+
+    def __init__(
+        self, delta_index, tau_index, theta, tau,
+        shots_attempted, shots_postselected, counts_a, counts_b,
+    ):
+        given = (delta_index, tau_index, theta, tau, shots_attempted, shots_postselected, counts_a, counts_b)
+        cols = {name: _column(name, values) for name, values in zip(_COLUMNS, given)}
+        if len({len(col) for col in cols.values()}) > 1:
+            raise ValueError("ScanTable columns must have equal lengths")
+        bad = _first_invalid(cols)
+        if bad is not None:
+            raise ValueError(f"row {bad[0]}: {bad[1]}")
+        self._set(cols.values())
+
+    def _set(self, columns) -> None:
+        for name, col in zip(_COLUMNS, columns):
+            col.flags.writeable = False
+            object.__setattr__(self, name, col)
+
+    @classmethod
+    def _trusted(cls, columns) -> "ScanTable":
+        """Table of columns that are already validated (no copy, no checks)."""
+        table = object.__new__(cls)
+        table._set(columns)
+        return table
+
+    @classmethod
+    def from_records(cls, records) -> "ScanTable":
+        rows = [
+            (r.setting.delta_index, r.tau_index, r.setting.theta, r.setting.tau,
+             r.shots_attempted, r.shots_postselected, r.counts_a, r.counts_b)
+            for r in records
+        ]
+        return cls(*(zip(*rows) if rows else [()] * len(_COLUMNS)))
+
+    @property
+    def columns(self) -> tuple[np.ndarray, ...]:
+        return tuple(getattr(self, name) for name in _COLUMNS)
+
+    @property
+    def theta_slot(self) -> np.ndarray:
+        """Index of each row's phase in THETAS (0 or 1)."""
+        return (np.abs(self.theta - THETAS[1]) <= THETA_TOL).astype(np.int64)
+
+    def __len__(self) -> int:
+        return len(self.delta_index)
+
+    def __iter__(self):
+        return map(_row, *(col.tolist() for col in self.columns))
+
+    def __getitem__(self, index):
+        if isinstance(index, (int, np.integer)):
+            return _row(*(col[index].item() for col in self.columns))
+        return ScanTable._trusted([col[index] for col in self.columns])
+
+    def __eq__(self, other):
+        if isinstance(other, ScanTable):
+            return all(np.array_equal(a, b) for a, b in zip(self.columns, other.columns))
+        if isinstance(other, (list, tuple)):
+            return list(self) == list(other)
+        return NotImplemented
+
+    __hash__ = None
+
+    def __setattr__(self, name, value):
+        raise AttributeError("ScanTable is immutable")
+
+    def __repr__(self) -> str:
+        return f"ScanTable({len(self)} rows)"
+
+
+def as_table(rows) -> ScanTable:
+    """`rows` itself if it is a ScanTable, else a table of its records."""
+    return rows if isinstance(rows, ScanTable) else ScanTable.from_records(rows)
 
 
 @dataclass(frozen=True)
@@ -166,186 +348,220 @@ def _setting_rng(seed: int, ordinal: int) -> np.random.Generator:
 
 
 def simulate_counts(state, plan: ScanPlan, config: InterferometerConfig, *, exact: bool = False):
-    """Simulate the scan; returns records ordered by setting ordinal.
+    """Simulate the scan; returns a ScanTable ordered by setting ordinal.
 
-    Sampling mode: shots_postselected ~ Binomial(shots, xi * efficiency),
-    counts_A ~ Binomial(shots_postselected, P_A), both from the setting's own
-    substream. Exact mode keeps every shot and stores counts_A = shots * P_A
-    unrounded.
+    P_A = 1/2 + Re[gamma e^{i theta} G_delta(tau)]/2 for every setting at
+    once, from the cached band transforms, with the same float operations
+    as `probabilities_closed_form`. Sampling mode: shots_postselected ~
+    Binomial(shots, xi * efficiency), counts_A ~ Binomial(shots_postselected,
+    P_A), both from the setting's own substream. Exact mode keeps every shot
+    and stores counts_A = shots * P_A unrounded.
     """
     require_post_selected_regime(config)
-    rate = config.post_selection_rate
-    records: list[MeasurementRecord] = []
+    deltas = np.array(plan.delta_indices, dtype=np.int64)
+    taus = np.array(plan.tau_indices, dtype=np.int64)
+    n_bands, n_taus = len(deltas), len(taus)
+    # Ordinal order: the calibration pair, then delta, tau, theta ascending.
+    delta_index = np.concatenate([[0, 0], np.repeat(deltas, 2 * n_taus)])
+    tau_index = np.concatenate([[0, 0], np.tile(np.repeat(taus, 2), n_bands)])
+    slot = np.concatenate([[0, 1], np.tile([0, 1], n_bands * n_taus)])
+    # Row 0 of the band stack serves the two calibration settings.
+    band_row = np.concatenate([[0, 0], np.repeat(np.arange(1, n_bands + 1), 2 * n_taus)])
+    g = band_transforms(state, [0, *plan.delta_indices])[band_row, tau_index]
+    # Re[c * G] as CPython's complex product forms it, c = gamma * e^{i theta}.
+    c = [complex(config.gamma) * cmath.exp(1j * theta) for theta in plan.thetas]
+    c_re, c_im = np.array([z.real for z in c])[slot], np.array([z.imag for z in c])[slot]
+    p_a = np.clip(0.5 + 0.5 * (c_re * g.real - c_im * g.imag), 0.0, 1.0)
+
     shots = plan.shots_per_setting
-    for planned in plan.settings():
-        p_a, _ = probabilities_closed_form(state, planned.setting, config)
-        if exact:
-            post: float = shots
-            counts_a: float = shots * p_a
-            counts_b: float = shots - counts_a
-        else:
-            rng = _setting_rng(plan.seed, planned.ordinal)
-            post = int(rng.binomial(shots, rate))
-            counts_a = int(rng.binomial(post, p_a))
-            counts_b = post - counts_a
-        records.append(
-            MeasurementRecord(
-                setting=planned.setting,
-                tau_index=planned.tau_index,
-                shots_attempted=shots,
-                shots_postselected=post,
-                counts_a=counts_a,
-                counts_b=counts_b,
-            )
-        )
-    return records
+    attempted = np.full(len(p_a), shots, dtype=np.int64)
+    if exact:
+        post = attempted
+        counts_a = shots * p_a
+        counts_b = shots - counts_a
+    else:
+        rate = config.post_selection_rate
+        posts, hits = [], []
+        for ordinal, p in enumerate(p_a.tolist()):
+            rng = _setting_rng(plan.seed, ordinal)
+            drawn = int(rng.binomial(shots, rate))
+            posts.append(drawn)
+            hits.append(int(rng.binomial(drawn, p)))
+        post = np.array(posts, dtype=np.int64)
+        counts_a = np.array(hits, dtype=np.int64)
+        counts_b = post - counts_a
+    theta = np.array(plan.thetas)[slot]
+    return ScanTable(
+        delta_index, tau_index, theta, tau_index * plan.grid.d_tau, attempted, post, counts_a, counts_b
+    )
 
 
-def estimate_p_delta(record: MeasurementRecord) -> tuple[float, float]:
-    """Estimate P_A - P_B and its standard error from one record."""
-    post = record.shots_postselected
-    if post <= 0:
+def estimate_p_delta(rows):
+    """Estimate P_A - P_B and its standard error per row.
+
+    Takes a ScanTable (returns two float64 arrays) or a single
+    MeasurementRecord (returns two floats).
+    """
+    if isinstance(rows, MeasurementRecord):
+        p_delta, stderr = estimate_p_delta(ScanTable.from_records([rows]))
+        return float(p_delta[0]), float(stderr[0])
+    table = as_table(rows)
+    post = table.shots_postselected
+    empty = post <= 0
+    if empty.any():
+        rec = table[int(np.argmax(empty))]
         raise InsufficientDataError(
-            f"no post-selected shots at (delta={record.setting.delta_index}, "
-            f"tau_index={record.tau_index}, theta={record.setting.theta})"
+            f"no post-selected shots at (delta={rec.setting.delta_index}, "
+            f"tau_index={rec.tau_index}, theta={rec.setting.theta})"
         )
-    p_hat_a = float(record.counts_a) / post
-    p_delta_hat = float(record.counts_a - record.counts_b) / post
-    stderr = 2.0 * math.sqrt(max(p_hat_a * (1.0 - p_hat_a), 0.0) / post)
+    p_hat_a = table.counts_a / post
+    p_delta_hat = (table.counts_a - table.counts_b) / post
+    stderr = 2.0 * np.sqrt(np.maximum(p_hat_a * (1.0 - p_hat_a), 0.0) / post)
     return p_delta_hat, stderr
 
 
-def pool_records(records) -> list[MeasurementRecord]:
-    """Sum counts of records sharing a (delta_index, tau_index, theta) cell.
+def pool_records(records) -> ScanTable:
+    """Sum counts of rows sharing a (delta_index, tau_index, theta) cell.
 
     Dedicated calibration rows and the coincident (delta=0, tau=0) tomography
-    rows pool into one estimate this way.
+    rows pool into one estimate this way. Each cell adds its rows in row
+    order onto its first row, so float counts sum exactly as a running total
+    would; the other columns come from the first row. The result is sorted by
+    (delta_index, tau_index, theta).
     """
-    merged: dict[tuple[int, int, float], MeasurementRecord] = {}
-    for rec in records:
-        key = (rec.setting.delta_index, rec.tau_index, rec.setting.theta)
-        prev = merged.get(key)
-        if prev is None:
-            merged[key] = rec
-        else:
-            merged[key] = MeasurementRecord(
-                setting=rec.setting,
-                tau_index=rec.tau_index,
-                shots_attempted=prev.shots_attempted + rec.shots_attempted,
-                shots_postselected=prev.shots_postselected + rec.shots_postselected,
-                counts_a=prev.counts_a + rec.counts_a,
-                counts_b=prev.counts_b + rec.counts_b,
-            )
-    return [merged[key] for key in sorted(merged)]
+    table = as_table(records)
+    if not len(table):
+        return table
+    key = (table.delta_index * (int(table.tau_index.max()) + 1) + table.tau_index) * 2 + table.theta_slot
+    if np.all(key[1:] > key[:-1]):
+        return table  # already one row per cell, in order
+    _, first, cell = np.unique(key, return_index=True, return_inverse=True)
+    later = np.ones(len(table), dtype=bool)
+    later[first] = False
+    columns = []
+    for name, col in zip(_COLUMNS, table.columns):
+        pooled = col[first]
+        if name in _SUMMED:
+            np.add.at(pooled, cell[later], col[later])
+        columns.append(pooled)
+    return ScanTable._trusted(columns)
 
 
 # ---------------------------------------------------------------------------
 # Record file format (CSV, also the import path for real laboratory data)
 # ---------------------------------------------------------------------------
 
-def _format_number(value) -> str:
-    if isinstance(value, (int, np.integer)):
-        return str(int(value))
-    f = float(value)
-    return str(int(f)) if f.is_integer() else repr(f)
+# CSV fields and the Python type each parses as (`int("1.0")` is an error).
+_CSV_FIELDS = (
+    ("delta_index", int), ("tau_index", int), ("theta", float), ("shots_attempted", int),
+    ("shots_postselected", float), ("counts_a", float), ("counts_b", float),
+)
+_CSV_DTYPE = np.dtype([(name, np.int64 if kind is int else np.float64) for name, kind in _CSV_FIELDS])
+
+
+def _format_counts(col: np.ndarray) -> list:
+    """Integers as integers; real-valued counts as shortest round-trip decimals."""
+    if col.dtype.kind == "i":
+        return col.tolist()
+    return [str(int(v)) if v.is_integer() else repr(v) for v in col.tolist()]
 
 
 def write_records(path, records) -> None:
-    lines = [RECORD_HEADER]
-    for rec in records:
-        lines.append(
-            ",".join(
-                [
-                    str(rec.setting.delta_index),
-                    str(rec.tau_index),
-                    repr(float(rec.setting.theta)),
-                    str(rec.shots_attempted),
-                    _format_number(rec.shots_postselected),
-                    _format_number(rec.counts_a),
-                    _format_number(rec.counts_b),
-                ]
-            )
+    """CSV of a ScanTable or a list of records, one line per row."""
+    table = as_table(records)
+    lines = [
+        f"{d},{k},{theta},{shots},{post},{a},{b}"
+        for d, k, theta, shots, post, a, b in zip(
+            table.delta_index.tolist(),
+            table.tau_index.tolist(),
+            map(float.__repr__, table.theta.tolist()),
+            table.shots_attempted.tolist(),
+            _format_counts(table.shots_postselected),
+            _format_counts(table.counts_a),
+            _format_counts(table.counts_b),
         )
-    Path(path).write_text("\n".join(lines) + "\n", newline="\n")
+    ]
+    Path(path).write_text("\n".join([RECORD_HEADER] + lines) + "\n", newline="\n")
 
 
-def _parse_count(text: str) -> float:
-    value = float(text)
-    return int(value) if value.is_integer() else value
+def _integral(col: np.ndarray) -> np.ndarray:
+    """int64 if every entry is a whole number, as the file's own integers read."""
+    if np.isfinite(col).all() and (np.abs(col) < 2.0**53).all() and (col == np.trunc(col)).all():
+        return col.astype(np.int64)
+    return col
 
 
-def read_records(path, grid: FrequencyGrid) -> list[MeasurementRecord]:
+def _field_error(path, lines, linenos) -> str | None:
+    """The first line whose fields do not parse, with the reason."""
+    for line, lineno in zip(lines, linenos):
+        parts = line.split(",")
+        if len(parts) != len(_CSV_FIELDS):
+            return f"{path}:{lineno}: expected {len(_CSV_FIELDS)} fields, got {len(parts)}"
+        for text, (_, kind) in zip(parts, _CSV_FIELDS):
+            try:
+                kind(text)
+            except ValueError as exc:
+                return f"{path}:{lineno}: {exc}"
+    return None
+
+
+def read_records(path, grid: FrequencyGrid) -> ScanTable:
+    """Parse a record CSV into a ScanTable, one row per non-blank line.
+
+    Any malformed line raises DataFormatError naming its line number:
+    wrong field count, unparsable or non-integer index, out-of-range index,
+    a theta that is not 0 or pi/2, or counts that break the record
+    invariants.
+    """
     lines = Path(path).read_text().splitlines()
     if not lines or lines[0].strip() != RECORD_HEADER:
         raise DataFormatError(f"{path}: expected header {RECORD_HEADER!r}")
-    records = []
-    for lineno, line in enumerate(lines[1:], start=2):
-        if not line.strip():
-            continue
-        parts = line.split(",")
-        if len(parts) != 7:
-            raise DataFormatError(f"{path}:{lineno}: expected 7 fields, got {len(parts)}")
+    body = lines[1:]
+    linenos = range(2, len(lines) + 1)
+    if any(not line.strip() for line in body):
+        linenos = [i for i, line in enumerate(body, start=2) if line.strip()]
+        body = [lines[i - 1] for i in linenos]
+    if body:
         try:
-            delta_index = int(parts[0])
-            tau_index = int(parts[1])
-            theta = float(parts[2])
-            shots_attempted = int(parts[3])
-            post = _parse_count(parts[4])
-            counts_a = _parse_count(parts[5])
-            counts_b = _parse_count(parts[6])
+            data = np.loadtxt(body, delimiter=",", dtype=_CSV_DTYPE, comments=None, ndmin=1)
         except ValueError as exc:
-            raise DataFormatError(f"{path}:{lineno}: {exc}") from exc
-        if not 0 <= delta_index < grid.n or not 0 <= tau_index < grid.n:
-            raise DataFormatError(
-                f"{path}:{lineno}: indices out of range for an n={grid.n} grid"
-            )
-        try:
-            records.append(
-                MeasurementRecord(
-                    setting=MeasurementSetting(tau_index * grid.d_tau, delta_index, theta),
-                    tau_index=tau_index,
-                    shots_attempted=shots_attempted,
-                    shots_postselected=post,
-                    counts_a=counts_a,
-                    counts_b=counts_b,
-                )
-            )
-        except ValueError as exc:
-            raise DataFormatError(f"{path}:{lineno}: {exc}") from exc
-    return records
+            raise DataFormatError(_field_error(path, body, linenos) or f"{path}: {exc}") from exc
+    else:
+        data = np.zeros(0, dtype=_CSV_DTYPE)
+    cols = {name: data[name] for name in _CSV_DTYPE.names}
+    for name in ("shots_postselected", "counts_a", "counts_b"):
+        cols[name] = _integral(cols[name])
+    cols["tau"] = cols["tau_index"] * grid.d_tau
+    n = grid.n
+    delta, tau_index = cols["delta_index"], cols["tau_index"]
+    out_of_range = (delta < 0) | (delta >= n) | (tau_index < 0) | (tau_index >= n)
+    bad = _first_invalid(
+        cols, [(out_of_range, lambda r: f"indices out of range for an n={n} grid")]
+    )
+    if bad is not None:
+        raise DataFormatError(f"{path}:{linenos[bad[0]]}: {bad[1]}")
+    return ScanTable._trusted([np.ascontiguousarray(cols[name]) for name in _COLUMNS])
 
 
 def p_delta_rows(records, grid: FrequencyGrid) -> list[tuple]:
     """Plot-ready (delta_index, tau_index, tau, theta, p_delta, stderr) rows."""
-    rows = []
-    for rec in pool_records(records):
-        p_delta_hat, stderr = estimate_p_delta(rec)
-        rows.append(
-            (
-                rec.setting.delta_index,
-                rec.tau_index,
-                rec.tau_index * grid.d_tau,
-                rec.setting.theta,
-                p_delta_hat,
-                stderr,
-            )
+    cells = pool_records(records)
+    p_delta_hat, stderr = estimate_p_delta(cells)
+    return list(
+        zip(
+            cells.delta_index.tolist(),
+            cells.tau_index.tolist(),
+            (cells.tau_index * grid.d_tau).tolist(),
+            cells.theta.tolist(),
+            p_delta_hat.tolist(),
+            stderr.tolist(),
         )
-    return rows
+    )
 
 
 def write_p_delta_table(path, records, grid: FrequencyGrid) -> None:
-    lines = [P_DELTA_HEADER]
-    for delta_index, tau_index, tau, theta, p_delta_hat, stderr in p_delta_rows(records, grid):
-        lines.append(
-            ",".join(
-                [
-                    str(delta_index),
-                    str(tau_index),
-                    repr(tau),
-                    repr(theta),
-                    repr(p_delta_hat),
-                    repr(stderr),
-                ]
-            )
-        )
+    lines = [P_DELTA_HEADER] + [
+        f"{delta_index},{tau_index},{tau!r},{theta!r},{p_delta_hat!r},{stderr!r}"
+        for delta_index, tau_index, tau, theta, p_delta_hat, stderr in p_delta_rows(records, grid)
+    ]
     Path(path).write_text("\n".join(lines) + "\n", newline="\n")

@@ -35,7 +35,7 @@ from .errors import (
     VisibilityTooLowError,
 )
 from .interferometer import cross_section_transform
-from .measurement import THETAS, MeasurementRecord, estimate_p_delta, pool_records
+from .measurement import THETAS, as_table, estimate_p_delta, pool_records
 
 MIN_VISIBILITY = 0.05
 
@@ -68,32 +68,21 @@ class ReconstructionResult:
     rho_pre_projection: np.ndarray
 
 
-def _pool_by_cell(records) -> dict[tuple[int, int, int], MeasurementRecord]:
-    """Pooled records keyed by (delta_index, tau_index, theta slot 0|1)."""
-    cells: dict[tuple[int, int, int], MeasurementRecord] = {}
-    for rec in pool_records(records):
-        for slot, theta in enumerate(THETAS):
-            if math.isclose(rec.setting.theta, theta, rel_tol=0.0, abs_tol=1e-9):
-                cells[(rec.setting.delta_index, rec.tau_index, slot)] = rec
-                break
-    return cells
-
-
 def calibrate_gamma(records) -> complex:
     """Infer the mode overlap from the balanced (tau=0, delta=0) statistics.
 
-    Requires both phase rows; |gamma_hat| > 1 (possible under shot noise) is
-    clamped back to the unit circle with a diagnostic.
+    Reads the pooled (0, 0) cells of `records` (a ScanTable or a list of
+    records). Requires both phase rows; |gamma_hat| > 1 (possible under shot
+    noise) is clamped back to the unit circle with a diagnostic.
     """
-    cells = _pool_by_cell(records)
-    missing = [(0, 0, theta) for slot, theta in enumerate(THETAS) if (0, 0, slot) not in cells]
-    if missing:
+    table = as_table(records)
+    cells = as_table(pool_records(table[(table.delta_index == 0) & (table.tau_index == 0)]))
+    if cells.theta_slot.tolist() != [0, 1]:
         raise CalibrationMissingError(
             f"calibration rows absent at (delta=0, tau=0): need thetas {THETAS}"
         )
-    p0, _ = estimate_p_delta(cells[(0, 0, 0)])
-    p1, _ = estimate_p_delta(cells[(0, 0, 1)])
-    gamma_hat = complex(p0, -p1)
+    (p0, p1), _ = estimate_p_delta(cells)
+    gamma_hat = complex(float(p0), -float(p1))
     if abs(gamma_hat) > 1.0:
         emit(
             "gamma-clamped",
@@ -103,6 +92,26 @@ def calibrate_gamma(records) -> complex:
         )
         gamma_hat /= abs(gamma_hat)
     return gamma_hat
+
+
+def _divide(re: np.ndarray, im: np.ndarray, c: complex) -> np.ndarray:
+    """(re + i*im) / c elementwise, rounded as CPython's complex division is.
+
+    numpy's complex division multiplies by 1/|c|^2 instead and differs in the
+    last bit, which would move every reconstructed byte.
+    """
+    out = np.empty(re.shape, dtype=np.complex128)
+    if abs(c.real) >= abs(c.imag):
+        ratio = c.imag / c.real
+        denom = c.real + c.imag * ratio
+        out.real = (re + im * ratio) / denom
+        out.imag = (im - re * ratio) / denom
+    else:
+        ratio = c.real / c.imag
+        denom = c.real * ratio + c.imag
+        out.real = (re * ratio + im) / denom
+        out.imag = (im * ratio - re) / denom
+    return out
 
 
 def estimate_cross_section(
@@ -117,33 +126,29 @@ def estimate_cross_section(
     G_hat(tau_k) = [p_delta(theta=0) - i * p_delta(theta=pi/2)] / gamma_hat;
     the theta=0 row measures Re[gamma G], the theta=pi/2 row -Im[gamma G].
     Errors propagate linearly, including the 1/|gamma_hat| amplification.
+    `records` is a ScanTable or a list of records of one delta_index.
     """
     if abs(gamma_hat) < min_visibility:
         raise VisibilityTooLowError(
             f"|gamma_hat| = {abs(gamma_hat):.4f} below the floor {min_visibility}; "
             "cross-section division would amplify noise unboundedly"
         )
-    records = list(records)
-    deltas = {rec.setting.delta_index for rec in records}
+    table = as_table(records)
+    deltas = np.unique(table.delta_index).tolist()
     if len(deltas) != 1:
-        raise ValueError(f"records must cover exactly one delta_index, got {sorted(deltas)}")
-    delta_index = deltas.pop()
-    cells = _pool_by_cell(records)
-    missing = [
-        (delta_index, tau_index, theta)
-        for tau_index in range(grid.n)
-        for slot, theta in enumerate(THETAS)
-        if (delta_index, tau_index, slot) not in cells
-    ]
-    if missing:
-        raise MissingSettingsError(missing)
-    g = np.empty(grid.n, dtype=np.complex128)
-    se = np.empty(grid.n, dtype=np.float64)
-    for tau_index in range(grid.n):
-        p0, se0 = estimate_p_delta(cells[(delta_index, tau_index, 0)])
-        p1, se1 = estimate_p_delta(cells[(delta_index, tau_index, 1)])
-        g[tau_index] = complex(p0, -p1) / gamma_hat
-        se[tau_index] = math.hypot(se0, se1) / abs(gamma_hat)
+        raise ValueError(f"records must cover exactly one delta_index, got {deltas}")
+    delta_index = deltas[0]
+    cells = as_table(pool_records(table[table.tau_index < grid.n]))
+    present = np.zeros((grid.n, len(THETAS)), dtype=bool)
+    present[cells.tau_index, cells.theta_slot] = True
+    if not present.all():
+        raise MissingSettingsError(
+            [(delta_index, tau_index, THETAS[slot]) for tau_index, slot in np.argwhere(~present).tolist()]
+        )
+    # One row per (tau, theta) cell, sorted: theta=0 rows even, theta=pi/2 odd.
+    p_delta, stderr = estimate_p_delta(cells)
+    g = _divide(p_delta[0::2], -p_delta[1::2], complex(gamma_hat))
+    se = np.hypot(stderr[0::2], stderr[1::2]) / abs(gamma_hat)
     return CrossSectionEstimate(delta_index, g, se)
 
 
@@ -233,15 +238,17 @@ def reconstruct_records(
     forward transform of the projected estimate (RMS over the delay grid).
     Diagnostics emitted anywhere in the pipeline are collected on the result.
     """
-    records = list(records)
     with diagnostics.capture() as caught:
-        gamma_hat = calibrate_gamma(records)
-        by_delta: dict[int, list[MeasurementRecord]] = {}
-        for rec in records:
-            by_delta.setdefault(rec.setting.delta_index, []).append(rec)
+        cells = as_table(pool_records(records))
+        gamma_hat = calibrate_gamma(cells)
+        # Pooled rows are sorted by delta_index: each band is one slice.
+        deltas, starts = np.unique(cells.delta_index, return_index=True)
+        stops = starts[1:].tolist() + [len(cells)]
         estimates = {
-            m: estimate_cross_section(group, gamma_hat, grid, min_visibility=min_visibility)
-            for m, group in sorted(by_delta.items())
+            m: estimate_cross_section(
+                cells[start:stop], gamma_hat, grid, min_visibility=min_visibility
+            )
+            for m, start, stop in zip(deltas.tolist(), starts.tolist(), stops)
         }
         bands = {m: invert_cross_section(est, grid) for m, est in estimates.items()}
         rho_raw = assemble(bands, grid)

@@ -239,6 +239,28 @@ def test_reconstruct_heatmap(tmp_path):
         assert float(mag) == abs(complex(*pairs[k]))
 
 
+def test_reconstruct_formats_rho_hat_once(tmp_path, monkeypatch):
+    # The JSON and the heatmap share one formatting of re and im; abs is the
+    # only other n x n formatting pass.
+    from spectomo import core
+
+    state = _gen(tmp_path, extra=["--n", "16"])
+    csv = tmp_path / "records.csv"
+    assert main(["simulate", str(state), "--out", str(csv), "--exact"]) == 0
+    calls = []
+    mirror = core._mirror_reprs
+
+    def counted(*args, **kwargs):
+        calls.append(args[1])
+        return mirror(*args, **kwargs)
+
+    monkeypatch.setattr(core, "_mirror_reprs", counted)
+    monkeypatch.setattr(spectomo.cli, "_mirror_reprs", counted)
+    argv = ["reconstruct", str(csv), "--out", str(tmp_path / "x.json"), "--n", "16"]
+    assert main(argv + ["--heatmap-out", str(tmp_path / "heat.csv")]) == 0
+    assert calls == [16, 16, 16]
+
+
 @pytest.mark.parametrize("case", sorted(MALFORMED_RHO))
 def test_reconstruct_rejects_malformed_truth(tmp_path, capsys, case):
     state = _gen(tmp_path, extra=["--n", "8", "--span", "8"])
