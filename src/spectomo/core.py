@@ -32,6 +32,7 @@ NORM_TOL = 1e-12        # amplitude normalization
 TRACE_TOL = 1e-10       # kernel trace
 PSD_TOL = 1e-10         # min eigenvalue >= -PSD_TOL * max eigenvalue
 CLIP_WARN = 1e-6        # grid-edge mass loss worth warning about
+HERMITIAN_TOL = 1e-9    # a loaded kernel's max|K - K^dagger|, relative to max|K|
 
 DENSITY_MATRIX_UNITS = "SI-rad-per-s"
 
@@ -520,6 +521,12 @@ def density_matrix_from_dict(doc: dict) -> SpectralDensityMatrix:
     if not np.isfinite(entries).all():
         raise DataFormatError("kernel entries must be finite numbers, found NaN or Infinity")
     kernel = entries.view(np.complex128).reshape(n, n)
+    deviation = float(np.abs(kernel - kernel.conj().T).max(initial=0.0))
+    if deviation > HERMITIAN_TOL * float(np.abs(kernel).max(initial=0.0)):
+        raise DataFormatError(
+            f"kernel entries are not Hermitian: max|K - K^dagger| = {deviation:.3g} exceeds "
+            f"{HERMITIAN_TOL:g} * max|K|"
+        )
     try:
         grid = FrequencyGrid(omega_min=omega_min, d_omega=d_omega, n=n)
         return SpectralDensityMatrix.from_kernel(grid, kernel, renormalize=False)

@@ -1,9 +1,10 @@
 """Tomographic scan planning, photon-count simulation, and record persistence.
 
-A scan visits every (delta_index, tau_index, theta in {0, pi/2}) cell plus a
-dedicated calibration pair at (tau=0, delta=0), in a fixed ordinal order:
-calibration first, then delta ascending, tau ascending, theta in (0, pi/2).
-Each setting draws from its own RNG substream derived from
+A setting is one integer cell (delta_index, tau_index, theta_slot), the slot
+indexing THETAS = (0, pi/2). A scan visits every cell plus a dedicated
+calibration pair at (delta=0, tau=0), in the ordinal order `ScanPlan.cells`
+builds: calibration first, then delta ascending, tau ascending, slot
+ascending. Each setting draws from its own RNG substream derived from
 SeedSequence(entropy=seed, spawn_key=(ordinal,)), so records are byte-for-byte
 reproducible no matter how the settings are fanned out across workers.
 
@@ -12,15 +13,14 @@ counts are the real-valued products shots * P_A, which separates
 discretization error from shot noise in round-trip checks.
 
 Scan data moves as one `ScanTable`: a column per record field, validated
-once on construction. Iterating or indexing it yields `MeasurementRecord`
-rows.
+once on construction. Iterating it yields `MeasurementRecord` rows.
 """
 
 from __future__ import annotations
 
 import cmath
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from pathlib import Path
 
 import numpy as np
@@ -46,7 +46,8 @@ P_DELTA_HEADER = "delta_index,tau_index,tau,theta_rad,p_delta,stderr"
 class MeasurementRecord:
     """Shot counts at the two output ports for one interferometer setting.
 
-    Counts are integers from sampling, or real-valued in exact mode.
+    Counts are integers from sampling, or real-valued in exact mode. A
+    hand-built record is checked when it becomes a table (`ScanTable.from_records`).
     """
 
     setting: MeasurementSetting
@@ -55,20 +56,6 @@ class MeasurementRecord:
     shots_postselected: float
     counts_a: float
     counts_b: float
-
-    def __post_init__(self):
-        if self.shots_attempted < 0 or self.counts_a < 0 or self.counts_b < 0:
-            raise ValueError("shot and count fields must be nonnegative")
-        if self.shots_postselected > self.shots_attempted + 1e-9:
-            raise ValueError(
-                f"post-selected shots ({self.shots_postselected}) exceed attempted "
-                f"({self.shots_attempted})"
-            )
-        total = self.counts_a + self.counts_b
-        if not math.isclose(total, self.shots_postselected, rel_tol=1e-9, abs_tol=1e-9):
-            raise ValueError(
-                f"counts_A + counts_B = {total} != shots_postselected = {self.shots_postselected}"
-            )
 
 
 def _row(delta_index, tau_index, theta, tau, attempted, post, counts_a, counts_b):
@@ -88,11 +75,11 @@ def _row(delta_index, tau_index, theta, tau, attempted, post, counts_a, counts_b
 
 
 _COLUMNS = (
-    "delta_index", "tau_index", "theta", "tau",
+    "delta_index", "tau_index", "theta_slot", "tau",
     "shots_attempted", "shots_postselected", "counts_a", "counts_b",
 )
-_INT_COLUMNS = ("delta_index", "tau_index", "shots_attempted")
-_FLOAT_COLUMNS = ("theta", "tau")
+_INT_COLUMNS = ("delta_index", "tau_index", "theta_slot", "shots_attempted")
+_FLOAT_COLUMNS = ("theta", "tau")  # theta: phases as read, before `_theta_slots`
 _SUMMED = ("shots_attempted", "shots_postselected", "counts_a", "counts_b")
 
 
@@ -109,13 +96,26 @@ def _column(name: str, values) -> np.ndarray:
     return a.astype(np.float64)
 
 
-def _first_invalid(cols: dict, checks=()) -> tuple[int, str] | None:
-    """First row breaking a `MeasurementRecord` invariant, and the reason.
+def _theta_slots(cols: dict) -> tuple:
+    """Replace the float `theta` column of `cols` by `theta_slot`; returns the
+    (mask, message(row)) check, for `_first_invalid`, of thetas off both THETAS."""
+    theta = cols.pop("theta")
+    near = [np.abs(theta - phase) <= THETA_TOL for phase in THETAS]
+    cols["theta_slot"] = near[1].astype(np.int64)
+    return (
+        ~(near[0] | near[1]),
+        lambda r: f"theta_rad must be 0 or pi/2 (the two tomography phases), got {theta[r].item()!r}",
+    )
 
-    `checks` are extra (mask, message(row)) pairs tried before the
-    record invariants, in order, for each row.
+
+def _first_invalid(cols: dict, checks=(), phase=None) -> tuple[int, str] | None:
+    """First row breaking a record invariant, and the reason.
+
+    `checks` are extra (mask, message(row)) pairs tried before the record
+    invariants, in order, for each row; `phase` replaces the theta_slot
+    range check (see `_theta_slots`).
     """
-    delta, tau_index, theta = cols["delta_index"], cols["tau_index"], cols["theta"]
+    delta, tau_index, slot = cols["delta_index"], cols["tau_index"], cols["theta_slot"]
     attempted, post = cols["shots_attempted"], cols["shots_postselected"]
     a, b = cols["counts_a"], cols["counts_b"]
     total = a + b
@@ -130,10 +130,7 @@ def _first_invalid(cols: dict, checks=()) -> tuple[int, str] | None:
     checks = list(checks) + [
         (delta < 0, lambda r: f"delta_index must be nonnegative, got {value(delta, r)}"),
         (tau_index < 0, lambda r: f"tau_index must be nonnegative, got {value(tau_index, r)}"),
-        (
-            ~((np.abs(theta - THETAS[0]) <= THETA_TOL) | (np.abs(theta - THETAS[1]) <= THETA_TOL)),
-            lambda r: f"theta_rad must be 0 or pi/2 (the two tomography phases), got {value(theta, r)!r}",
-        ),
+        phase or ((slot < 0) | (slot > 1), lambda r: f"theta_slot must be 0 or 1, got {value(slot, r)}"),
         ((attempted < 0) | (a < 0) | (b < 0), lambda r: "shot and count fields must be nonnegative"),
         (
             post > attempted + 1e-9,
@@ -154,36 +151,41 @@ def _first_invalid(cols: dict, checks=()) -> tuple[int, str] | None:
     return row, next(message(row) for mask, message in checks if mask[row])
 
 
+def _checked(cols: dict, phase=None) -> list[np.ndarray]:
+    """The columns of `cols` in table order, once every row passes the checks."""
+    if len({len(col) for col in cols.values()}) > 1:
+        raise ValueError("ScanTable columns must have equal lengths")
+    bad = _first_invalid(cols, phase=phase)
+    if bad is not None:
+        raise ValueError(f"row {bad[0]}: {bad[1]}")
+    return [cols[name] for name in _COLUMNS]
+
+
 class ScanTable:
     """Scan data as a struct of arrays: one row per measured setting.
 
-    Columns, all 1-D and read-only: `delta_index`, `tau_index`, `theta`
-    (rad, within THETA_TOL of 0 or pi/2), `tau` (s), `shots_attempted`,
-    `shots_postselected`, `counts_a`, `counts_b`. Index and attempted-shot
-    columns are int64; the other count columns are int64 from sampling and
-    float64 from exact mode. Construction checks every row against the
-    `MeasurementRecord` invariants at once and names the first bad row.
+    Stored columns, all 1-D and read-only: `delta_index`, `tau_index`,
+    `theta_slot` (0 or 1, the index into THETAS), `tau` (s),
+    `shots_attempted`, `shots_postselected`, `counts_a`, `counts_b`. Index,
+    slot and attempted-shot columns are int64; the other count columns are
+    int64 from sampling and float64 from exact mode. `theta` (rad) is
+    derived as THETAS[theta_slot]. Construction checks every row against the
+    record invariants at once (the only place they are checked) and names the
+    first bad row.
 
-    `len()` counts rows; iterating, or indexing with an integer, yields
-    `MeasurementRecord` rows; any other index (slice, mask, index array)
-    selects a sub-table. Tables compare equal column by column, and to a
-    list of records row by row.
+    `len()` counts rows; iterating yields `MeasurementRecord` rows; an index
+    (slice, mask, index array) selects a sub-table. Tables compare equal
+    column by column.
     """
 
     __slots__ = _COLUMNS
 
     def __init__(
-        self, delta_index, tau_index, theta, tau,
+        self, delta_index, tau_index, theta_slot, tau,
         shots_attempted, shots_postselected, counts_a, counts_b,
     ):
-        given = (delta_index, tau_index, theta, tau, shots_attempted, shots_postselected, counts_a, counts_b)
-        cols = {name: _column(name, values) for name, values in zip(_COLUMNS, given)}
-        if len({len(col) for col in cols.values()}) > 1:
-            raise ValueError("ScanTable columns must have equal lengths")
-        bad = _first_invalid(cols)
-        if bad is not None:
-            raise ValueError(f"row {bad[0]}: {bad[1]}")
-        self._set(cols.values())
+        given = (delta_index, tau_index, theta_slot, tau, shots_attempted, shots_postselected, counts_a, counts_b)
+        self._set(_checked({name: _column(name, values) for name, values in zip(_COLUMNS, given)}))
 
     def _set(self, columns) -> None:
         for name, col in zip(_COLUMNS, columns):
@@ -199,38 +201,44 @@ class ScanTable:
 
     @classmethod
     def from_records(cls, records) -> "ScanTable":
+        """Table of `MeasurementRecord` rows, each theta within THETA_TOL of THETAS."""
+        names = ("delta_index", "tau_index", "theta", *_COLUMNS[3:])
         rows = [
             (r.setting.delta_index, r.tau_index, r.setting.theta, r.setting.tau,
              r.shots_attempted, r.shots_postselected, r.counts_a, r.counts_b)
             for r in records
         ]
-        return cls(*(zip(*rows) if rows else [()] * len(_COLUMNS)))
+        given = zip(*rows) if rows else [()] * len(names)
+        cols = {name: _column(name, values) for name, values in zip(names, given)}
+        phase = _theta_slots(cols)
+        return cls._trusted(_checked(cols, phase))
 
     @property
     def columns(self) -> tuple[np.ndarray, ...]:
         return tuple(getattr(self, name) for name in _COLUMNS)
 
     @property
-    def theta_slot(self) -> np.ndarray:
-        """Index of each row's phase in THETAS (0 or 1)."""
-        return (np.abs(self.theta - THETAS[1]) <= THETA_TOL).astype(np.int64)
+    def theta(self) -> np.ndarray:
+        """Each row's phase in rad, THETAS[theta_slot]."""
+        theta = np.array(THETAS)[self.theta_slot]
+        theta.flags.writeable = False
+        return theta
 
     def __len__(self) -> int:
         return len(self.delta_index)
 
     def __iter__(self):
-        return map(_row, *(col.tolist() for col in self.columns))
+        columns = (self.theta if name == "theta_slot" else getattr(self, name) for name in _COLUMNS)
+        return map(_row, *(col.tolist() for col in columns))
 
     def __getitem__(self, index):
         if isinstance(index, (int, np.integer)):
-            return _row(*(col[index].item() for col in self.columns))
+            raise TypeError("index a ScanTable with a slice, mask or index array; iterate it for rows")
         return ScanTable._trusted([col[index] for col in self.columns])
 
     def __eq__(self, other):
         if isinstance(other, ScanTable):
             return all(np.array_equal(a, b) for a, b in zip(self.columns, other.columns))
-        if isinstance(other, (list, tuple)):
-            return list(self) == list(other)
         return NotImplemented
 
     __hash__ = None
@@ -248,61 +256,36 @@ def as_table(rows) -> ScanTable:
 
 
 @dataclass(frozen=True)
-class PlannedSetting:
-    ordinal: int
-    tau_index: int
-    setting: MeasurementSetting
-    is_calibration: bool = False
-
-
-@dataclass(frozen=True)
 class ScanPlan:
     """The full tomographic schedule over (delta, tau, theta)."""
 
     grid: FrequencyGrid
-    delta_indices: tuple[int, ...]
+    max_delta_index: int
     shots_per_setting: int
     seed: int
-    tau_indices: tuple[int, ...]
-    thetas: tuple[float, float] = THETAS
     warnings: tuple[Diagnostic, ...] = field(default=(), compare=False)
 
     def __post_init__(self):
-        n = self.grid.n
+        if not 0 <= self.max_delta_index < self.grid.n:
+            raise ValueError(f"max_delta_index must be in [0, {self.grid.n - 1}], got {self.max_delta_index}")
         if self.shots_per_setting <= 0:
             raise ValueError(f"shots_per_setting must be positive, got {self.shots_per_setting}")
-        if list(self.delta_indices) != sorted(set(self.delta_indices)):
-            raise ValueError("delta_indices must be sorted and unique")
-        if self.delta_indices and not (0 <= self.delta_indices[0] and self.delta_indices[-1] < n):
-            raise ValueError(f"delta_indices must lie in [0, {n - 1}]")
-        if any(not 0 <= k < n for k in self.tau_indices):
-            raise ValueError(f"tau_indices must lie in [0, {n - 1}]")
-        if self.thetas != THETAS:
-            raise ValueError(f"tomography rows use thetas {THETAS}, got {self.thetas}")
+
+    @property
+    def delta_indices(self) -> range:
+        return range(self.max_delta_index + 1)
 
     @property
     def n_settings(self) -> int:
-        return 2 + len(self.delta_indices) * len(self.tau_indices) * len(self.thetas)
+        return 2 + 2 * self.grid.n * len(self.delta_indices)
 
-    def settings(self) -> list[PlannedSetting]:
-        """Canonical enumeration; the ordinal seeds the per-setting RNG substream."""
-        d_tau = self.grid.d_tau
-        out: list[PlannedSetting] = []
-        for theta in self.thetas:
-            out.append(
-                PlannedSetting(len(out), 0, MeasurementSetting(0.0, 0, theta), is_calibration=True)
-            )
-        for delta_index in self.delta_indices:
-            for tau_index in self.tau_indices:
-                for theta in self.thetas:
-                    out.append(
-                        PlannedSetting(
-                            len(out),
-                            tau_index,
-                            MeasurementSetting(tau_index * d_tau, delta_index, theta),
-                        )
-                    )
-        return out
+    def cells(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """int64 (delta_index, tau_index, theta_slot) of every setting, in ordinal order:
+        the calibration pair (0, 0, 0), (0, 0, 1), then every cell with delta, tau and
+        slot ascending. A setting's ordinal (its position here) seeds its RNG substream."""
+        tomography = np.indices((len(self.delta_indices), self.grid.n, 2), dtype=np.int64).reshape(3, -1)
+        calibration = np.array([[0, 0], [0, 0], [0, 1]], dtype=np.int64)
+        return tuple(np.concatenate([calibration, tomography], axis=1))
 
 
 def plan_scan(
@@ -320,9 +303,7 @@ def plan_scan(
     (a hardware limit, e.g. what an AOM can actually drive), the plan carries
     a hardware-advisory diagnostic.
     """
-    if not 0 <= max_delta_index < grid.n:
-        raise ValueError(f"max_delta_index must be in [0, {grid.n - 1}], got {max_delta_index}")
-    plan_warnings: tuple[Diagnostic, ...] = ()
+    plan = ScanPlan(grid=grid, max_delta_index=max_delta_index, shots_per_setting=shots, seed=seed)
     max_shift = max_delta_index * grid.d_omega
     if max_delta_advisory is not None and max_shift > max_delta_advisory:
         diag = emit(
@@ -332,15 +313,8 @@ def plan_scan(
             max_shift=max_shift,
             advisory_limit=max_delta_advisory,
         )
-        plan_warnings = (diag,)
-    return ScanPlan(
-        grid=grid,
-        delta_indices=tuple(range(max_delta_index + 1)),
-        shots_per_setting=shots,
-        seed=seed,
-        tau_indices=tuple(range(grid.n)),
-        warnings=plan_warnings,
-    )
+        plan = replace(plan, warnings=(diag,))
+    return plan
 
 
 def _setting_rng(seed: int, ordinal: int) -> np.random.Generator:
@@ -358,18 +332,10 @@ def simulate_counts(state, plan: ScanPlan, config: InterferometerConfig, *, exac
     and stores counts_A = shots * P_A unrounded.
     """
     require_post_selected_regime(config)
-    deltas = np.array(plan.delta_indices, dtype=np.int64)
-    taus = np.array(plan.tau_indices, dtype=np.int64)
-    n_bands, n_taus = len(deltas), len(taus)
-    # Ordinal order: the calibration pair, then delta, tau, theta ascending.
-    delta_index = np.concatenate([[0, 0], np.repeat(deltas, 2 * n_taus)])
-    tau_index = np.concatenate([[0, 0], np.tile(np.repeat(taus, 2), n_bands)])
-    slot = np.concatenate([[0, 1], np.tile([0, 1], n_bands * n_taus)])
-    # Row 0 of the band stack serves the two calibration settings.
-    band_row = np.concatenate([[0, 0], np.repeat(np.arange(1, n_bands + 1), 2 * n_taus)])
-    g = band_transforms(state, [0, *plan.delta_indices])[band_row, tau_index]
+    delta_index, tau_index, slot = plan.cells()
+    g = band_transforms(state, plan.delta_indices)[delta_index, tau_index]
     # Re[c * G] as CPython's complex product forms it, c = gamma * e^{i theta}.
-    c = [complex(config.gamma) * cmath.exp(1j * theta) for theta in plan.thetas]
+    c = [complex(config.gamma) * cmath.exp(1j * theta) for theta in THETAS]
     c_re, c_im = np.array([z.real for z in c])[slot], np.array([z.imag for z in c])[slot]
     p_a = np.clip(0.5 + 0.5 * (c_re * g.real - c_im * g.imag), 0.0, 1.0)
 
@@ -390,29 +356,21 @@ def simulate_counts(state, plan: ScanPlan, config: InterferometerConfig, *, exac
         post = np.array(posts, dtype=np.int64)
         counts_a = np.array(hits, dtype=np.int64)
         counts_b = post - counts_a
-    theta = np.array(plan.thetas)[slot]
     return ScanTable(
-        delta_index, tau_index, theta, tau_index * plan.grid.d_tau, attempted, post, counts_a, counts_b
+        delta_index, tau_index, slot, tau_index * plan.grid.d_tau, attempted, post, counts_a, counts_b
     )
 
 
 def estimate_p_delta(rows):
-    """Estimate P_A - P_B and its standard error per row.
-
-    Takes a ScanTable (returns two float64 arrays) or a single
-    MeasurementRecord (returns two floats).
-    """
-    if isinstance(rows, MeasurementRecord):
-        p_delta, stderr = estimate_p_delta(ScanTable.from_records([rows]))
-        return float(p_delta[0]), float(stderr[0])
+    """P_A - P_B and its standard error per row of a ScanTable or list of records."""
     table = as_table(rows)
     post = table.shots_postselected
     empty = post <= 0
     if empty.any():
-        rec = table[int(np.argmax(empty))]
+        row = int(np.argmax(empty))
         raise InsufficientDataError(
-            f"no post-selected shots at (delta={rec.setting.delta_index}, "
-            f"tau_index={rec.tau_index}, theta={rec.setting.theta})"
+            f"no post-selected shots at (delta={table.delta_index[row]}, "
+            f"tau_index={table.tau_index[row]}, theta={table.theta[row]})"
         )
     p_hat_a = table.counts_a / post
     p_delta_hat = (table.counts_a - table.counts_b) / post
@@ -523,11 +481,16 @@ def read_records(path, grid: FrequencyGrid) -> ScanTable:
         body = [lines[i - 1] for i in linenos]
     if body:
         try:
-            data = np.loadtxt(body, delimiter=",", dtype=_CSV_DTYPE, comments=None, ndmin=1)
+            # Sized once by max_rows: grown block by block, the array's
+            # reallocations set the peak RSS of reading a large file.
+            data = np.loadtxt(
+                body, delimiter=",", dtype=_CSV_DTYPE, comments=None, ndmin=1, max_rows=len(body)
+            )
         except ValueError as exc:
             raise DataFormatError(_field_error(path, body, linenos) or f"{path}: {exc}") from exc
     else:
         data = np.zeros(0, dtype=_CSV_DTYPE)
+    del lines, body  # only a parse error needs the text; free it before the checks
     cols = {name: data[name] for name in _CSV_DTYPE.names}
     for name in ("shots_postselected", "counts_a", "counts_b"):
         cols[name] = _integral(cols[name])
@@ -535,8 +498,9 @@ def read_records(path, grid: FrequencyGrid) -> ScanTable:
     n = grid.n
     delta, tau_index = cols["delta_index"], cols["tau_index"]
     out_of_range = (delta < 0) | (delta >= n) | (tau_index < 0) | (tau_index >= n)
+    phase = _theta_slots(cols)
     bad = _first_invalid(
-        cols, [(out_of_range, lambda r: f"indices out of range for an n={n} grid")]
+        cols, [(out_of_range, lambda r: f"indices out of range for an n={n} grid")], phase
     )
     if bad is not None:
         raise DataFormatError(f"{path}:{linenos[bad[0]]}: {bad[1]}")
@@ -547,16 +511,8 @@ def p_delta_rows(records, grid: FrequencyGrid) -> list[tuple]:
     """Plot-ready (delta_index, tau_index, tau, theta, p_delta, stderr) rows."""
     cells = pool_records(records)
     p_delta_hat, stderr = estimate_p_delta(cells)
-    return list(
-        zip(
-            cells.delta_index.tolist(),
-            cells.tau_index.tolist(),
-            (cells.tau_index * grid.d_tau).tolist(),
-            cells.theta.tolist(),
-            p_delta_hat.tolist(),
-            stderr.tolist(),
-        )
-    )
+    columns = (cells.delta_index, cells.tau_index, cells.tau_index * grid.d_tau, cells.theta, p_delta_hat, stderr)
+    return list(zip(*(col.tolist() for col in columns)))
 
 
 def write_p_delta_table(path, records, grid: FrequencyGrid) -> None:

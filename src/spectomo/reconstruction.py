@@ -126,7 +126,8 @@ def estimate_cross_section(
     G_hat(tau_k) = [p_delta(theta=0) - i * p_delta(theta=pi/2)] / gamma_hat;
     the theta=0 row measures Re[gamma G], the theta=pi/2 row -Im[gamma G].
     Errors propagate linearly, including the 1/|gamma_hat| amplification.
-    `records` is a ScanTable or a list of records of one delta_index.
+    `records` is a ScanTable or a list of records of one delta_index; a row
+    with delta or tau index off the n-grid raises ValueError.
     """
     if abs(gamma_hat) < min_visibility:
         raise VisibilityTooLowError(
@@ -134,11 +135,18 @@ def estimate_cross_section(
             "cross-section division would amplify noise unboundedly"
         )
     table = as_table(records)
+    off_grid = (table.delta_index >= grid.n) | (table.tau_index >= grid.n)
+    if off_grid.any():
+        row = int(np.argmax(off_grid))
+        raise ValueError(
+            f"row {row} (delta_index={table.delta_index[row]}, tau_index={table.tau_index[row]}) "
+            f"lies off the n={grid.n} grid"
+        )
     deltas = np.unique(table.delta_index).tolist()
     if len(deltas) != 1:
         raise ValueError(f"records must cover exactly one delta_index, got {deltas}")
     delta_index = deltas[0]
-    cells = as_table(pool_records(table[table.tau_index < grid.n]))
+    cells = as_table(pool_records(table))
     present = np.zeros((grid.n, len(THETAS)), dtype=bool)
     present[cells.tau_index, cells.theta_slot] = True
     if not present.all():

@@ -138,4 +138,5 @@ MALFORMED_RHO = {
     "nan": lambda rho: [[float("nan"), 0.0]] + rho[1:],
     "infinity": lambda rho: rho[:-1] + [[0.0, float("inf")]],
     "minus-infinity": lambda rho: [[float("-inf"), 0.0]] + rho[1:],
+    "non-hermitian": lambda rho: rho[:1] + [[rho[1][0] + 1e-3, rho[1][1]]] + rho[2:],
 }

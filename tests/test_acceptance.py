@@ -236,30 +236,23 @@ def test_criterion_8_estimator_soundness():
     state = density_from_pure(gaussian_pure(grid, 0.0, 1.0))
     shots = 4000
     plan = plan_scan(grid, 1, shots, seed=0)
-    target = next(
-        s
-        for s in plan.settings()
-        if not s.is_calibration
-        and s.setting.delta_index == 0
-        and s.tau_index == 2
-        and s.setting.theta == 0.0
+    # The tomography (not calibration) setting at delta 0, tau index 2, theta 0.
+    ordinal = next(
+        i for i, cell in enumerate(zip(*(col.tolist() for col in plan.cells())))
+        if i >= 2 and cell == (0, 2, 0)
     )
-    p_a, _ = probabilities_closed_form(state, target.setting, IDEAL)
+    setting = MeasurementSetting(2 * grid.d_tau, 0, 0.0)
+    p_a, _ = probabilities_closed_form(state, setting, IDEAL)
     assert 0.1 < p_a < 0.9  # estimator comparison is meaningful away from the rails
-    estimates = []
-    reported = []
-    from spectomo import MeasurementRecord
+    records = []
+    from spectomo import MeasurementRecord, ScanTable
 
     for seed in range(1000):
-        rng = _setting_rng(seed, target.ordinal)
+        rng = _setting_rng(seed, ordinal)
         post = int(rng.binomial(shots, 1.0))
         counts_a = int(rng.binomial(post, p_a))
-        record = MeasurementRecord(
-            target.setting, target.tau_index, shots, post, counts_a, post - counts_a
-        )
-        p_delta_hat, stderr = estimate_p_delta(record)
-        estimates.append(p_delta_hat)
-        reported.append(stderr)
+        records.append(MeasurementRecord(setting, 2, shots, post, counts_a, post - counts_a))
+    estimates, reported = estimate_p_delta(ScanTable.from_records(records))
     empirical = float(np.std(estimates, ddof=1))
     mean_reported = float(np.mean(reported))
     assert empirical == pytest.approx(mean_reported, rel=0.10)

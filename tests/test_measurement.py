@@ -9,6 +9,7 @@ from spectomo import (
     InterferometerConfig,
     MeasurementRecord,
     MeasurementSetting,
+    ScanTable,
     cross_section_transform,
     density_from_pure,
     estimate_p_delta,
@@ -20,7 +21,7 @@ from spectomo import (
     simulate_counts,
     write_records,
 )
-from spectomo.measurement import _setting_rng, p_delta_rows
+from spectomo.measurement import THETAS, _setting_rng, p_delta_rows
 
 IDEAL = InterferometerConfig()
 
@@ -36,13 +37,28 @@ def _state(grid):
 def test_plan_counts_single_delta():
     g = make_grid(0.0, 8.0, 8)
     plan = plan_scan(g, 0, shots=100, seed=1)
-    settings = plan.settings()
+    cells = plan.cells()
+    assert all(col.dtype == np.int64 and col.shape == cells[0].shape for col in cells)
+    settings = list(zip(*(col.tolist() for col in cells)))
     assert len(settings) == 2 * 8 * 1 + 2
     assert plan.n_settings == len(settings)
-    assert [s.ordinal for s in settings] == list(range(len(settings)))
-    assert settings[0].is_calibration and settings[1].is_calibration
-    assert settings[0].setting == MeasurementSetting(0.0, 0, 0.0)
-    assert settings[1].setting == MeasurementSetting(0.0, 0, math.pi / 2)
+    assert settings[:2] == [(0, 0, 0), (0, 0, 1)]  # the calibration pair leads
+    assert [THETAS[slot] for _, _, slot in settings[:2]] == [0.0, math.pi / 2]
+
+
+@pytest.mark.parametrize("n, max_delta_index", [(2, 0), (4, 0), (4, 3), (8, 5), (16, 15)])
+def test_cells_follow_the_documented_order(n, max_delta_index):
+    # The README's order, written out: the calibration pair, then every
+    # (delta, tau, theta slot) cell with delta outermost and the slot innermost.
+    expected = [(0, 0, 0), (0, 0, 1)]
+    for delta_index in range(max_delta_index + 1):
+        for tau_index in range(n):
+            for slot in (0, 1):
+                expected.append((delta_index, tau_index, slot))
+    plan = plan_scan(make_grid(0.0, 8.0, n), max_delta_index, shots=1, seed=0)
+    assert list(zip(*(col.tolist() for col in plan.cells()))) == expected
+    assert plan.n_settings == len(expected)
+    assert list(plan.delta_indices) == list(range(max_delta_index + 1))
 
 
 def test_plan_counts_full_delta():
@@ -125,13 +141,15 @@ def test_determinism_and_substream_independence():
     # replay one substream by hand
     from spectomo import probabilities_closed_form
 
-    target = plan.settings()[17]
-    rng = _setting_rng(plan.seed, target.ordinal)
+    delta_index, tau_index, slot = (int(col[17]) for col in plan.cells())
+    assert (first.delta_index[17], first.tau_index[17], first.theta_slot[17]) == (delta_index, tau_index, slot)
+    rng = _setting_rng(plan.seed, 17)
     post = int(rng.binomial(300, config.post_selection_rate))
-    p_a, _ = probabilities_closed_form(rho, target.setting, config)
+    setting = MeasurementSetting(tau_index * g.d_tau, delta_index, THETAS[slot])
+    p_a, _ = probabilities_closed_form(rho, setting, config)
     counts_a = int(rng.binomial(post, p_a))
-    assert first[17].shots_postselected == post
-    assert first[17].counts_a == counts_a
+    assert first.shots_postselected[17] == post
+    assert first.counts_a[17] == counts_a
 
 
 def test_postselection_accounting():
@@ -159,15 +177,12 @@ def test_statistical_soundness_mean_converges():
     n_runs = 150
     for shots in (100, 10000):
         plan = plan_scan(g, 1, shots=shots, seed=0)
+        # The tomography (not calibration) setting at (k, j, theta).
         ordinal = next(
-            s.ordinal
-            for s in plan.settings()
-            if not s.is_calibration
-            and s.tau_index == j
-            and s.setting.delta_index == k
-            and s.setting.theta == theta
+            i for i, cell in enumerate(zip(*(col.tolist() for col in plan.cells())))
+            if i >= 2 and cell == (k, j, THETAS.index(theta))
         )
-        estimates = []
+        records = []
         from spectomo import probabilities_closed_form
 
         p_a, _ = probabilities_closed_form(rho, setting, config)
@@ -175,8 +190,8 @@ def test_statistical_soundness_mean_converges():
             rng = _setting_rng(seed, ordinal)
             post = int(rng.binomial(shots, 1.0))
             counts_a = int(rng.binomial(post, p_a))
-            rec = MeasurementRecord(setting, j, shots, post, counts_a, post - counts_a)
-            estimates.append(estimate_p_delta(rec)[0])
+            records.append(MeasurementRecord(setting, j, shots, post, counts_a, post - counts_a))
+        estimates = estimate_p_delta(ScanTable.from_records(records))[0]
         err = abs(np.mean(estimates) - truth)
         scale = 2 * math.sqrt(p_a * (1 - p_a) / shots)
         assert err < 3 * scale / math.sqrt(n_runs), (shots, err, scale)
@@ -188,27 +203,28 @@ def test_statistical_soundness_mean_converges():
 
 def test_estimate_arithmetic():
     rec = MeasurementRecord(MeasurementSetting(0.0, 0, 0.0), 0, 100, 100, 75, 25)
-    p, se = estimate_p_delta(rec)
+    (p,), (se,) = estimate_p_delta(ScanTable.from_records([rec]))
     assert p == pytest.approx(0.5)
     assert se == pytest.approx(2 * math.sqrt(0.75 * 0.25 / 100), abs=1e-12)
 
 
 def test_estimate_symmetric_counts():
     rec = MeasurementRecord(MeasurementSetting(0.0, 0, 0.0), 0, 100, 100, 50, 50)
-    assert estimate_p_delta(rec)[0] == 0.0
+    assert estimate_p_delta(ScanTable.from_records([rec]))[0][0] == 0.0
 
 
 def test_estimate_requires_postselected_shots():
     rec = MeasurementRecord(MeasurementSetting(0.0, 0, 0.0), 0, 100, 0, 0, 0)
     with pytest.raises(InsufficientDataError):
-        estimate_p_delta(rec)
+        estimate_p_delta(ScanTable.from_records([rec]))
 
 
 def test_record_invariant_validation():
+    # A hand-built record is checked when it becomes a table.
     with pytest.raises(ValueError):
-        MeasurementRecord(MeasurementSetting(0.0, 0, 0.0), 0, 100, 100, 60, 50)
+        ScanTable.from_records([MeasurementRecord(MeasurementSetting(0.0, 0, 0.0), 0, 100, 100, 60, 50)])
     with pytest.raises(ValueError):
-        MeasurementRecord(MeasurementSetting(0.0, 0, 0.0), 0, 100, 150, 100, 50)
+        ScanTable.from_records([MeasurementRecord(MeasurementSetting(0.0, 0, 0.0), 0, 100, 150, 100, 50)])
 
 
 # ---------------------------------------------------------------------------

@@ -11,6 +11,7 @@ from spectomo import (
     DegenerateInputError,
     InterferometerConfig,
     MissingSettingsError,
+    ScanTable,
     VisibilityTooLowError,
     assemble,
     calibrate_gamma,
@@ -128,6 +129,21 @@ def test_cross_section_estimate_missing_theta_rows(grid64):
     with pytest.raises(MissingSettingsError) as excinfo:
         estimate_cross_section(group, 1.0 + 0.0j, grid64)
     assert (0, 5, math.pi / 2) in excinfo.value.missing
+
+
+@pytest.mark.parametrize("delta_index, tau_index", [(0, 16), (16, 0)])
+def test_rows_off_the_grid_fail_loudly(delta_index, tau_index):
+    # One row off an n=16 grid: at tau index 16 it used to be dropped without a
+    # word, at delta index 16 it read as a scan with missing settings.
+    grid = make_grid(0.0, 16.0, 16)
+    table = exact_records(density_from_pure(gaussian_pure(grid, 0.0, 1.0)))
+    extra = ScanTable([delta_index], [tau_index], [0], [tau_index * grid.d_tau], [1000], [1000], [500.0], [500.0])
+    joined = ScanTable(*(np.concatenate(pair) for pair in zip(table.columns, extra.columns)))
+    message = rf"\(delta_index={delta_index}, tau_index={tau_index}\) lies off the n=16 grid"
+    with pytest.raises(ValueError, match=message):
+        reconstruct_records(joined, grid)
+    with pytest.raises(ValueError, match=rf"^row 0 {message}"):
+        estimate_cross_section(extra, 1.0 + 0.0j, grid)
 
 
 def test_cross_section_estimate_visibility_floor(grid64):

@@ -3,6 +3,7 @@
 import math
 import re
 import warnings
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -51,10 +52,12 @@ def test_rows_are_measurement_records():
     rows = list(table)
     assert len(rows) == len(table) == 2 + 2 * 16 * 4
     assert all(isinstance(r, MeasurementRecord) for r in rows)
-    assert rows[17] == table[17] == table[np.int64(17)]
-    assert table[-1] == rows[-1]
-    assert table == rows and rows == list(ScanTable.from_records(rows))
+    assert [rows[17]] == list(table[17:18]) == list(table[np.array([17])])
+    assert list(table[-1:]) == rows[-1:]
+    assert list(table) == rows and rows == list(ScanTable.from_records(rows))
     assert ScanTable.from_records(rows) == table
+    assert [r.setting.theta for r in rows] == table.theta.tolist()
+    assert set(table.theta.tolist()) == set(THETAS) and table.theta_slot.dtype == np.int64
     rec = rows[40]
     assert rec.setting == MeasurementSetting(rec.tau_index * GRID.d_tau, rec.setting.delta_index, rec.setting.theta)
     # a row reads back exactly what a hand-built record holds
@@ -83,6 +86,8 @@ def test_sub_tables_and_immutability():
         ("tau_index", -1, "tau_index must be nonnegative"),
         ("theta", 1.0, "theta_rad must be 0 or pi/2"),
         ("theta", math.nan, "theta_rad must be 0 or pi/2"),
+        ("theta_slot", 2, "theta_slot must be 0 or 1"),
+        ("theta_slot", -1, "theta_slot must be 0 or 1"),
         ("counts_b", -1, "nonnegative"),
         ("shots_postselected", 500, "exceed attempted"),
         ("counts_a", 399, "counts_A + counts_B"),
@@ -90,14 +95,22 @@ def test_sub_tables_and_immutability():
 )
 def test_constructor_names_the_first_bad_row(column, value, reason):
     table = _scan(shots=400)
+    match = rf"^row 9: .*{re.escape(reason)}"
+    if column == "theta":  # float phases come in through records
+        rows = list(table)
+        for r in (9, 30):
+            rows[r] = replace(rows[r], setting=replace(rows[r].setting, theta=value))
+        with pytest.raises(ValueError, match=match):
+            ScanTable.from_records(rows)
+        return
     columns = {name: np.array(col) for name, col in zip(
-        ("delta_index", "tau_index", "theta", "tau", "shots_attempted",
+        ("delta_index", "tau_index", "theta_slot", "tau", "shots_attempted",
          "shots_postselected", "counts_a", "counts_b"),
         table.columns,
     )}
     columns[column] = columns[column].astype(type(value))
     columns[column][[9, 30]] = value
-    with pytest.raises(ValueError, match=rf"^row 9: .*{re.escape(reason)}"):
+    with pytest.raises(ValueError, match=match):
         ScanTable(**columns)
 
 
@@ -119,8 +132,8 @@ def test_support_clipping_once_per_band():
 def tables(draw, integer_counts):
     n = GRID.n
     size = draw(st.integers(0, 30))
-    cells = st.tuples(st.integers(0, n - 1), st.integers(0, n - 1), st.sampled_from(THETAS))
-    delta, tau_index, theta = zip(*draw(st.lists(cells, min_size=size, max_size=size))) if size else ((), (), ())
+    cells = st.tuples(st.integers(0, n - 1), st.integers(0, n - 1), st.integers(0, 1))
+    delta, tau_index, slot = zip(*draw(st.lists(cells, min_size=size, max_size=size))) if size else ((), (), ())
     attempted = draw(st.lists(st.integers(0, 10**9), min_size=size, max_size=size))
     post, counts_a = [], []
     for shots in attempted:
@@ -133,7 +146,7 @@ def tables(draw, integer_counts):
     counts_a = np.array(counts_a, dtype=np.int64 if integer_counts else np.float64)
     tau_index = np.array(tau_index, dtype=np.int64)
     return ScanTable(
-        delta, tau_index, theta, tau_index * GRID.d_tau, attempted, post, counts_a, np.array(post) - counts_a
+        delta, tau_index, slot, tau_index * GRID.d_tau, attempted, post, counts_a, np.array(post) - counts_a
     )
 
 
