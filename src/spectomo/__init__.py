@@ -6,7 +6,7 @@ other) with post-selected photon counting, and reconstructs the density
 matrix from count records by Fourier inversion of the measured fringe data.
 """
 
-__version__ = "0.1.0"
+__version__ = "0.2.0"
 
 from .core import (
     FrequencyGrid,

@@ -4,9 +4,10 @@ A setting is one integer cell (delta_index, tau_index, theta_slot), the slot
 indexing THETAS = (0, pi/2). A scan visits every cell plus a dedicated
 calibration pair at (delta=0, tau=0), in the ordinal order `ScanPlan.cells`
 builds: calibration first, then delta ascending, tau ascending, slot
-ascending. Each setting draws from its own RNG substream derived from
-SeedSequence(entropy=seed, spawn_key=(ordinal,)), so records are byte-for-byte
-reproducible no matter how the settings are fanned out across workers.
+ascending. The calibration pair draws from the RNG stream
+SeedSequence(entropy=seed, spawn_key=(0,)) and band delta from spawn_key=(1, delta),
+so a band's records depend only on (seed, delta, state), not on which other
+bands the scan covers.
 
 Exact-probabilities mode bypasses sampling entirely: every shot is kept and
 counts are the real-valued products shots * P_A, which separates
@@ -270,6 +271,8 @@ class ScanPlan:
             raise ValueError(f"max_delta_index must be in [0, {self.grid.n - 1}], got {self.max_delta_index}")
         if self.shots_per_setting <= 0:
             raise ValueError(f"shots_per_setting must be positive, got {self.shots_per_setting}")
+        if not (isinstance(self.seed, (int, np.integer)) and self.seed >= 0):
+            raise ValueError(f"seed must be a nonnegative integer, got {self.seed}")
 
     @property
     def delta_indices(self) -> range:
@@ -282,7 +285,7 @@ class ScanPlan:
     def cells(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """int64 (delta_index, tau_index, theta_slot) of every setting, in ordinal order:
         the calibration pair (0, 0, 0), (0, 0, 1), then every cell with delta, tau and
-        slot ascending. A setting's ordinal (its position here) seeds its RNG substream."""
+        slot ascending. Band delta is rows 2 + 2n*delta up to 2 + 2n*(delta + 1)."""
         tomography = np.indices((len(self.delta_indices), self.grid.n, 2), dtype=np.int64).reshape(3, -1)
         calibration = np.array([[0, 0], [0, 0], [0, 1]], dtype=np.int64)
         return tuple(np.concatenate([calibration, tomography], axis=1))
@@ -317,10 +320,6 @@ def plan_scan(
     return plan
 
 
-def _setting_rng(seed: int, ordinal: int) -> np.random.Generator:
-    return np.random.default_rng(np.random.SeedSequence(entropy=seed, spawn_key=(ordinal,)))
-
-
 def simulate_counts(state, plan: ScanPlan, config: InterferometerConfig, *, exact: bool = False):
     """Simulate the scan; returns a ScanTable ordered by setting ordinal.
 
@@ -328,8 +327,10 @@ def simulate_counts(state, plan: ScanPlan, config: InterferometerConfig, *, exac
     once, from the cached band transforms, with the same float operations
     as `probabilities_closed_form`. Sampling mode: shots_postselected ~
     Binomial(shots, xi * efficiency), counts_A ~ Binomial(shots_postselected,
-    P_A), both from the setting's own substream. Exact mode keeps every shot
-    and stores counts_A = shots * P_A unrounded.
+    P_A). Each stream (the calibration pair's, then each band's, see the
+    module docstring) draws all its rows' shots_postselected in one call and
+    then all their counts_A in a second. Exact mode keeps every shot and
+    stores counts_A = shots * P_A unrounded.
     """
     require_post_selected_regime(config)
     delta_index, tau_index, slot = plan.cells()
@@ -346,15 +347,14 @@ def simulate_counts(state, plan: ScanPlan, config: InterferometerConfig, *, exac
         counts_a = shots * p_a
         counts_b = shots - counts_a
     else:
-        rate = config.post_selection_rate
-        posts, hits = [], []
-        for ordinal, p in enumerate(p_a.tolist()):
-            rng = _setting_rng(plan.seed, ordinal)
-            drawn = int(rng.binomial(shots, rate))
-            posts.append(drawn)
-            hits.append(int(rng.binomial(drawn, p)))
-        post = np.array(posts, dtype=np.int64)
-        counts_a = np.array(hits, dtype=np.int64)
+        post = np.empty(len(p_a), dtype=np.int64)
+        counts_a = np.empty(len(p_a), dtype=np.int64)
+        keys = [(0,)] + [(1, delta) for delta in plan.delta_indices]
+        bounds = [0, *range(2, len(p_a) + 1, 2 * plan.grid.n)]
+        for key, rows in zip(keys, map(slice, bounds, bounds[1:])):
+            rng = np.random.default_rng(np.random.SeedSequence(entropy=plan.seed, spawn_key=key))
+            post[rows] = rng.binomial(shots, config.post_selection_rate, size=rows.stop - rows.start)
+            counts_a[rows] = rng.binomial(post[rows], p_a[rows])
         counts_b = post - counts_a
     return ScanTable(
         delta_index, tau_index, slot, tau_index * plan.grid.d_tau, attempted, post, counts_a, counts_b

@@ -28,7 +28,7 @@ from spectomo import (
     simulate_counts,
     time_jitter_state,
 )
-from spectomo.measurement import _setting_rng, estimate_p_delta, write_p_delta_table
+from spectomo.measurement import estimate_p_delta, write_p_delta_table
 from conftest import exact_records, random_contained_state
 
 IDEAL = InterferometerConfig()
@@ -235,23 +235,18 @@ def test_criterion_8_estimator_soundness():
     grid = make_grid(0.0, 16.0, 16)
     state = density_from_pure(gaussian_pure(grid, 0.0, 1.0))
     shots = 4000
-    plan = plan_scan(grid, 1, shots, seed=0)
+    plans = [plan_scan(grid, 1, shots, seed=seed) for seed in range(1000)]
     # The tomography (not calibration) setting at delta 0, tau index 2, theta 0.
     ordinal = next(
-        i for i, cell in enumerate(zip(*(col.tolist() for col in plan.cells())))
+        i for i, cell in enumerate(zip(*(col.tolist() for col in plans[0].cells())))
         if i >= 2 and cell == (0, 2, 0)
     )
     setting = MeasurementSetting(2 * grid.d_tau, 0, 0.0)
     p_a, _ = probabilities_closed_form(state, setting, IDEAL)
     assert 0.1 < p_a < 0.9  # estimator comparison is meaningful away from the rails
-    records = []
-    from spectomo import MeasurementRecord, ScanTable
+    from spectomo import ScanTable
 
-    for seed in range(1000):
-        rng = _setting_rng(seed, ordinal)
-        post = int(rng.binomial(shots, 1.0))
-        counts_a = int(rng.binomial(post, p_a))
-        records.append(MeasurementRecord(setting, 2, shots, post, counts_a, post - counts_a))
+    records = [next(iter(simulate_counts(state, plan, IDEAL)[ordinal:ordinal + 1])) for plan in plans]
     estimates, reported = estimate_p_delta(ScanTable.from_records(records))
     empirical = float(np.std(estimates, ddof=1))
     mean_reported = float(np.mean(reported))

@@ -129,6 +129,15 @@ def test_simulate_advisory_warning(tmp_path, capsys):
     assert "hardware-advisory" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("mode", [[], ["--exact"]])
+def test_simulate_rejects_negative_seed(tmp_path, capsys, mode):
+    state = _gen(tmp_path, extra=["--n", "16"])
+    argv = ["simulate", str(state), "--out", str(tmp_path / "x.csv"), "--seed", "-1", *mode]
+    assert main(argv) == 2
+    assert "error: seed must be a nonnegative integer, got -1" in capsys.readouterr().err
+    assert not (tmp_path / "x.csv").exists()
+
+
 def test_simulate_missing_state_file(tmp_path):
     assert main(["simulate", str(tmp_path / "nope.json"), "--out", str(tmp_path / "x.csv")]) == 3
 
@@ -363,6 +372,17 @@ def test_module_entry_point(tmp_path):
     )
     assert proc.returncode == 0
     assert "spectomo" in proc.stdout
+
+
+def test_version_matches_pyproject():
+    # Every manifest records `spectomo.__version__`; the installed metadata
+    # comes from pyproject.toml, so the two must move together.
+    import re
+
+    pyproject = (Path(__file__).resolve().parent.parent / "pyproject.toml").read_text()
+    match = re.search(r'^version = "([^"]+)"$', pyproject, re.MULTILINE)
+    assert match is not None
+    assert spectomo.__version__ == match.group(1)
 
 
 def test_usage_error_exit_code():

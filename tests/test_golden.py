@@ -4,7 +4,7 @@ A tiny n=16 scan is pushed through `gen-state | simulate | reconstruct`
 once sampled and once `--exact`, and the sha256 of every file the README's
 reproducibility contract covers is pinned: `state.json`, the counts CSV, the
 `--p-delta-out` table, `rho_hat.json`, its report and the `--heatmap-out`
-table. Any change to these bytes (an RNG substream, the last bit of a
+table. Any change to these bytes (an RNG stream, the last bit of a
 probability, a number format) fails here and has to be made on purpose,
 with the digests updated.
 """
@@ -19,12 +19,12 @@ pytestmark = pytest.mark.filterwarnings("ignore::UserWarning")
 
 GOLDEN = {
     "sampled": {
-        "counts.csv": "117de062193f67cbf539ef42624861d93ddae5db6efa3e9dab56d81524f216c9",
-        "p_delta.csv": "fa401e85feab58a13b2f02d38802335dcb9c77e09da0c6b8499b246cb1b2aa4f",
-        "rho_hat.json": "f74adfb5e19c5022e4b44e4c161a0dc6a8877f7c5166defa80c20ad4cb55075f",
+        "counts.csv": "90585971941dba1be1781b20abb08343636af5c96525073ec2bf217ec48fdd23",
+        "p_delta.csv": "f00555338d6e2cae39e029fb85a854baec35ed1eab4e79d1609770b37c8bd7a9",
+        "rho_hat.json": "f5533ac2c6eea756b64fb043da443546dc9ad30a9c226c0a051d6c0ea18e86d9",
         "state.json": "8198a8e038d4039e8a4b10029791236d899eff5b00276b88a4fe5fd55d15db86",
-        "rho_hat.report.json": "3e911242ef2e2f15095038f2d6a91ed7293545860172fe06de00c61a75813950",
-        "rho_abs.csv": "e9df648a009b1de3300a6e0accdb5008ee83132881b8646003226eef83e28b99",
+        "rho_hat.report.json": "5bb721100482335b953e4d9bf978b6a80af56c7b4514adc0f35d412c1e1e7d61",
+        "rho_abs.csv": "f9decff553eef23ec34f068502f2ff2af262f895bf085c55d5ede6c957d91158",
     },
     "exact": {
         "counts.csv": "da47fd36bbfc63cc40de5ade4509576fef91446e4a9c666c11f7064b490a0d41",

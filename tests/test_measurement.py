@@ -21,7 +21,7 @@ from spectomo import (
     simulate_counts,
     write_records,
 )
-from spectomo.measurement import THETAS, _setting_rng, p_delta_rows
+from spectomo.measurement import THETAS, p_delta_rows
 
 IDEAL = InterferometerConfig()
 
@@ -129,6 +129,10 @@ def test_lossy_regime_requires_compensation():
         simulate_counts(_state(g), plan, InterferometerConfig(xi=0.5))
 
 
+def _band_stream(seed, key):
+    return np.random.default_rng(np.random.SeedSequence(entropy=seed, spawn_key=key))
+
+
 def test_determinism_and_substream_independence():
     g = make_grid(0.0, 16.0, 16)
     rho = _state(g)
@@ -137,19 +141,38 @@ def test_determinism_and_substream_independence():
     first = simulate_counts(rho, plan, config)
     second = simulate_counts(rho, plan, config)
     assert first == second
-    # record k depends only on (seed, ordinal), not on the other settings:
-    # replay one substream by hand
+    # band delta's rows depend only on (seed, delta): replay band 1 by hand,
+    # its post-selected shots and then its port-A counts as two draws
     from spectomo import probabilities_closed_form
 
-    delta_index, tau_index, slot = (int(col[17]) for col in plan.cells())
-    assert (first.delta_index[17], first.tau_index[17], first.theta_slot[17]) == (delta_index, tau_index, slot)
-    rng = _setting_rng(plan.seed, 17)
-    post = int(rng.binomial(300, config.post_selection_rate))
-    setting = MeasurementSetting(tau_index * g.d_tau, delta_index, THETAS[slot])
-    p_a, _ = probabilities_closed_form(rho, setting, config)
-    counts_a = int(rng.binomial(post, p_a))
-    assert first.shots_postselected[17] == post
-    assert first.counts_a[17] == counts_a
+    rows = slice(2 + 2 * g.n, 2 + 4 * g.n)
+    delta_index, tau_index, slot = (col[rows].tolist() for col in plan.cells())
+    assert set(delta_index) == {1}
+    assert (first.tau_index[rows].tolist(), first.theta_slot[rows].tolist()) == (tau_index, slot)
+    p_a = [
+        probabilities_closed_form(rho, MeasurementSetting(k * g.d_tau, 1, THETAS[s]), config)[0]
+        for k, s in zip(tau_index, slot)
+    ]
+    rng = _band_stream(plan.seed, (1, 1))
+    post = rng.binomial(300, config.post_selection_rate, size=2 * g.n)
+    counts_a = rng.binomial(post, p_a)
+    assert first.shots_postselected[rows].tolist() == post.tolist()
+    assert first.counts_a[rows].tolist() == counts_a.tolist()
+
+
+@pytest.mark.filterwarnings("ignore:support-clipping")
+def test_band_rows_do_not_depend_on_scan_coverage():
+    g = make_grid(0.0, 16.0, 16)
+    rho = _state(g)
+    config = InterferometerConfig(xi=0.8, compensate_loss=True, detector_efficiency=0.9)
+    narrow = simulate_counts(rho, plan_scan(g, 2, shots=300, seed=99), config)
+    wide = simulate_counts(rho, plan_scan(g, 5, shots=300, seed=99), config)
+    # calibration pair and bands 0..2 are rows 0 .. 2 + 2n*3 of both scans
+    assert len(narrow) == 2 + 2 * g.n * 3
+    assert wide[: len(narrow)] == narrow
+    rng = _band_stream(99, (0,))
+    post = rng.binomial(300, config.post_selection_rate, size=2)
+    assert narrow.shots_postselected[:2].tolist() == post.tolist()
 
 
 def test_postselection_accounting():
@@ -175,22 +198,17 @@ def test_statistical_soundness_mean_converges():
     setting = MeasurementSetting(g.taus[j], k, theta)
     truth = gamma * (np.exp(1j * theta) * cross_section_transform(rho, k)[j]).real
     n_runs = 150
+    from spectomo import probabilities_closed_form
+
+    p_a, _ = probabilities_closed_form(rho, setting, config)
     for shots in (100, 10000):
-        plan = plan_scan(g, 1, shots=shots, seed=0)
+        plans = [plan_scan(g, 1, shots=shots, seed=seed) for seed in range(n_runs)]
         # The tomography (not calibration) setting at (k, j, theta).
         ordinal = next(
-            i for i, cell in enumerate(zip(*(col.tolist() for col in plan.cells())))
+            i for i, cell in enumerate(zip(*(col.tolist() for col in plans[0].cells())))
             if i >= 2 and cell == (k, j, THETAS.index(theta))
         )
-        records = []
-        from spectomo import probabilities_closed_form
-
-        p_a, _ = probabilities_closed_form(rho, setting, config)
-        for seed in range(n_runs):
-            rng = _setting_rng(seed, ordinal)
-            post = int(rng.binomial(shots, 1.0))
-            counts_a = int(rng.binomial(post, p_a))
-            records.append(MeasurementRecord(setting, j, shots, post, counts_a, post - counts_a))
+        records = [next(iter(simulate_counts(rho, plan, config)[ordinal:ordinal + 1])) for plan in plans]
         estimates = estimate_p_delta(ScanTable.from_records(records))[0]
         err = abs(np.mean(estimates) - truth)
         scale = 2 * math.sqrt(p_a * (1 - p_a) / shots)
