@@ -6,7 +6,7 @@ other) with post-selected photon counting, and reconstructs the density
 matrix from count records by Fourier inversion of the measured fringe data.
 """
 
-__version__ = "0.2.0"
+__version__ = "0.3.0"
 
 from .core import (
     FrequencyGrid,
@@ -40,12 +40,7 @@ from .errors import (
 from .interferometer import (
     InterferometerConfig,
     MeasurementSetting,
-    apply_aom,
-    conditional_state,
     cross_section_transform,
-    probabilities_closed_form,
-    probabilities_quadrature,
-    spatial_overlap,
 )
 from .measurement import (
     MeasurementRecord,

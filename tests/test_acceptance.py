@@ -14,15 +14,12 @@ import pytest
 from spectomo import (
     InterferometerConfig,
     MeasurementSetting,
-    conditional_state,
     density_from_pure,
     gaussian_pure,
     hs_distance,
     make_grid,
     mix,
     plan_scan,
-    probabilities_closed_form,
-    probabilities_quadrature,
     purity,
     reconstruct_records,
     simulate_counts,
@@ -30,6 +27,7 @@ from spectomo import (
 )
 from spectomo.measurement import estimate_p_delta, write_p_delta_table
 from conftest import exact_records, random_contained_state
+from oracles import conditional_state, probabilities_closed_form, probabilities_quadrature
 
 IDEAL = InterferometerConfig()
 

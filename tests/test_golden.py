@@ -21,18 +21,18 @@ GOLDEN = {
     "sampled": {
         "counts.csv": "90585971941dba1be1781b20abb08343636af5c96525073ec2bf217ec48fdd23",
         "p_delta.csv": "f00555338d6e2cae39e029fb85a854baec35ed1eab4e79d1609770b37c8bd7a9",
-        "rho_hat.json": "f5533ac2c6eea756b64fb043da443546dc9ad30a9c226c0a051d6c0ea18e86d9",
+        "rho_hat.json": "9dc0dec65fb5c42bbbff21863c055feed94806298cb12bb12caacedfc04a4f38",
         "state.json": "8198a8e038d4039e8a4b10029791236d899eff5b00276b88a4fe5fd55d15db86",
-        "rho_hat.report.json": "5bb721100482335b953e4d9bf978b6a80af56c7b4514adc0f35d412c1e1e7d61",
-        "rho_abs.csv": "f9decff553eef23ec34f068502f2ff2af262f895bf085c55d5ede6c957d91158",
+        "rho_hat.report.json": "4c88029eef0169922b323151753a2354ac32afc77c951e7a5c8ee580dd4d3752",
+        "rho_abs.csv": "521c96804675d6f628bcf02fa7004f60d4c8ee46aa351e923ce759c1e457bdaa",
     },
     "exact": {
         "counts.csv": "da47fd36bbfc63cc40de5ade4509576fef91446e4a9c666c11f7064b490a0d41",
         "p_delta.csv": "bf770b2d5cc892bf9880134478b372905f13e44632f9963297491f4b5f574740",
-        "rho_hat.json": "d01e5a7a2021b82d58141c9c8be67745bc3657c3512fdd290e3212136101a5cc",
+        "rho_hat.json": "a2b2cd71d819ef311812e1f567e664971ffdf86118bf39d3878ec216f27e52cb",
         "state.json": "8198a8e038d4039e8a4b10029791236d899eff5b00276b88a4fe5fd55d15db86",
-        "rho_hat.report.json": "53530af4880be615d0cfdca8832e92c5ce0b19009227abe35f882129f41eca43",
-        "rho_abs.csv": "cbcad7b94c83ec042381359f6152c1e9cc72d827126c38e82a0a62aa5b5ba26f",
+        "rho_hat.report.json": "adfe9fdb655bb728db246c671bc9452057498b9b68414e1af4a97b88e871627d",
+        "rho_abs.csv": "e561440c0b30a55a3c389ac0c00ec1a4b68005ca7492c8cd95b9c6a66473b460",
     },
 }
 

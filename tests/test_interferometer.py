@@ -6,21 +6,20 @@ import pytest
 
 from spectomo import (
     DiagnosticWarning,
-    GridMismatchError,
     InterferometerConfig,
     MeasurementSetting,
-    apply_aom,
-    conditional_state,
     cross_section_transform,
     density_from_pure,
     gaussian_pure,
     make_grid,
-    probabilities_closed_form,
-    probabilities_quadrature,
-    purity,
-    spatial_overlap,
 )
 from conftest import random_contained_state, random_psd_state
+from oracles import (
+    apply_aom,
+    conditional_state,
+    probabilities_closed_form,
+    probabilities_quadrature,
+)
 
 IDEAL = InterferometerConfig()
 
@@ -285,57 +284,6 @@ def test_closed_form_matches_quadrature_off_grid_fallback(grid64):
     p_c = probabilities_closed_form(rho, setting, IDEAL)
     p_q = probabilities_quadrature(rho, setting, IDEAL)
     assert p_c == p_q
-
-
-# ---------------------------------------------------------------------------
-# spatial_overlap
-# ---------------------------------------------------------------------------
-
-def _gaussian_mode(x, y, x0, y0, waist):
-    xx, yy = np.meshgrid(x, y, indexing="ij")
-    mode = np.exp(-((xx - x0) ** 2 + (yy - y0) ** 2) / (2.0 * waist**2))
-    norm = math.sqrt(np.sum(np.abs(mode) ** 2) * (x[1] - x[0]) * (y[1] - y[0]))
-    return mode / norm
-
-
-def test_spatial_overlap_identical_modes():
-    x = np.linspace(-6, 6, 81)
-    mode = _gaussian_mode(x, x, 0.0, 0.0, 1.0)
-    dx = x[1] - x[0]
-    gamma = spatial_overlap(mode, mode, dx, dx)
-    assert gamma == pytest.approx(1.0, abs=1e-12)
-
-
-def test_spatial_overlap_orthogonal_parity():
-    x = np.linspace(-6, 6, 81)
-    dx = x[1] - x[0]
-    even = _gaussian_mode(x, x, 0.0, 0.0, 1.0)
-    xx, _ = np.meshgrid(x, x, indexing="ij")
-    odd_raw = xx * even
-    odd = odd_raw / math.sqrt(np.sum(np.abs(odd_raw) ** 2) * dx * dx)
-    assert abs(spatial_overlap(even, odd, dx, dx)) < 1e-12
-
-
-def test_spatial_overlap_displaced_gaussians():
-    # Oracle: two unit-waist Gaussian modes displaced by d overlap as
-    # exp(-d^2 / (4 w^2)); verified here by 2-D quadrature.
-    x = np.linspace(-8, 8, 161)
-    dx = x[1] - x[0]
-    d = 1.4
-    a = _gaussian_mode(x, x, 0.0, 0.0, 1.0)
-    b = _gaussian_mode(x, x, d, 0.0, 1.0)
-    gamma = spatial_overlap(a, b, dx, dx)
-    assert abs(gamma) == pytest.approx(math.exp(-(d**2) / 4.0), abs=1e-6)
-
-
-def test_spatial_overlap_errors():
-    x = np.linspace(-6, 6, 41)
-    dx = x[1] - x[0]
-    mode = _gaussian_mode(x, x, 0.0, 0.0, 1.0)
-    with pytest.raises(GridMismatchError):
-        spatial_overlap(mode, mode[:-1, :], dx, dx)
-    with pytest.raises(ValueError, match="not normalized"):
-        spatial_overlap(2.0 * mode, mode, dx, dx)
 
 
 # ---------------------------------------------------------------------------

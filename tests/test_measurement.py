@@ -98,7 +98,7 @@ def test_exact_mode_estimator_bias_bound():
     g = make_grid(0.0, 16.0, 16)
     rho = _state(g)
     plan = plan_scan(g, 2, shots=100, seed=0)
-    from spectomo import probabilities_closed_form
+    from oracles import probabilities_closed_form
 
     for rec in simulate_counts(rho, plan, IDEAL, exact=True):
         p_a, _ = probabilities_closed_form(rho, rec.setting, IDEAL)
@@ -143,7 +143,7 @@ def test_determinism_and_substream_independence():
     assert first == second
     # band delta's rows depend only on (seed, delta): replay band 1 by hand,
     # its post-selected shots and then its port-A counts as two draws
-    from spectomo import probabilities_closed_form
+    from oracles import probabilities_closed_form
 
     rows = slice(2 + 2 * g.n, 2 + 4 * g.n)
     delta_index, tau_index, slot = (col[rows].tolist() for col in plan.cells())
@@ -198,7 +198,7 @@ def test_statistical_soundness_mean_converges():
     setting = MeasurementSetting(g.taus[j], k, theta)
     truth = gamma * (np.exp(1j * theta) * cross_section_transform(rho, k)[j]).real
     n_runs = 150
-    from spectomo import probabilities_closed_form
+    from oracles import probabilities_closed_form
 
     p_a, _ = probabilities_closed_form(rho, setting, config)
     for shots in (100, 10000):

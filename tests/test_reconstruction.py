@@ -4,6 +4,8 @@ import warnings
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from spectomo import (
     CalibrationMissingError,
@@ -28,6 +30,7 @@ from spectomo import (
     reconstruct_records,
     report,
     simulate_counts,
+    time_jitter_state,
 )
 from conftest import exact_records
 
@@ -258,6 +261,72 @@ def test_project_two_eigenvalue_toy():
 def test_project_rejects_degenerate(grid64):
     with pytest.raises(DegenerateInputError):
         project_physical(np.zeros((grid64.n, grid64.n)), grid64)
+
+
+def _random_hermitian(rng, grid):
+    a = rng.normal(size=(grid.n, grid.n)) + 1j * rng.normal(size=(grid.n, grid.n))
+    return (a + a.conj().T) / (2.0 * grid.n * grid.d_omega)
+
+
+def _clip_and_renormalize(herm, grid):
+    w, vecs = np.linalg.eigh(herm * grid.d_omega)
+    clipped = np.clip(w, 0.0, None)
+    return (vecs * (clipped / clipped.sum())) @ vecs.conj().T / grid.d_omega
+
+
+def test_project_satisfies_simplex_kkt():
+    # Nearest unit-trace PSD matrix: same eigenvectors, eigenvalues max(w - t, 0)
+    # for one threshold t; every eigenvalue clipped to zero lies below t.
+    rng = np.random.default_rng(41)
+    g = make_grid(0.0, 10.0, 12)
+    for _ in range(20):
+        herm = _random_hermitian(rng, g)
+        projected, min_eig = project_physical(herm, g)
+        w = np.linalg.eigvalsh(herm * g.d_omega)
+        v = np.linalg.eigvalsh(projected.rho * g.d_omega)
+        assert min_eig == pytest.approx(w[0], abs=1e-14)
+        assert v[0] > -1e-14
+        assert projected.trace() == pytest.approx(1.0, abs=1e-12)
+        kept = v > 1e-12
+        t = w[kept] - v[kept]
+        assert np.ptp(t) < 1e-12
+        assert np.all(w[~kept] <= t[0] + 1e-12)
+        np.testing.assert_allclose(v, np.maximum(w - t[0], 0.0), atol=1e-12)
+        commutator = projected.rho @ herm - herm @ projected.rho
+        assert np.max(np.abs(commutator)) * g.d_omega**2 < 1e-12
+
+
+def test_project_is_idempotent():
+    rng = np.random.default_rng(43)
+    g = make_grid(0.0, 10.0, 12)
+    for _ in range(10):
+        once, _ = project_physical(_random_hermitian(rng, g), g)
+        twice, min_eig = project_physical(once.rho, g)
+        assert min_eig > -1e-14
+        assert hs_distance(twice.rho, once.rho, g) < 1e-13
+
+
+@settings(max_examples=60, deadline=None)
+@given(n=st.integers(2, 10), seed=st.integers(0, 2**32 - 1), shift=st.floats(-0.5, 0.5))
+def test_project_never_farther_than_clipping(n, seed, shift):
+    g = make_grid(0.0, float(n), n)
+    herm = _random_hermitian(np.random.default_rng(seed), g) + shift * np.eye(n) / g.d_omega
+    assume(np.linalg.eigvalsh(herm * g.d_omega)[-1] > 1e-6)
+    projected, _ = project_physical(herm, g)
+    nearest = hs_distance(projected.rho, herm, g)
+    assert nearest <= hs_distance(_clip_and_renormalize(herm, g), herm, g) + 1e-12
+
+
+def test_project_keeps_purity_under_shot_noise():
+    # Clip-and-renormalize read purity 0.435 here: it keeps the positive half
+    # of the shot-noise eigenvalues and shrinks the signal to make room.
+    g = make_grid(0.0, 16.0, 64)
+    truth = time_jitter_state(gaussian_pure(g, 0.0, 1.0), 0.5)
+    assert purity(truth) == pytest.approx(1.0 / math.sqrt(2.0), abs=1e-12)
+    for seed in range(3):
+        records = _sampled_records(truth, 20000, seed, InterferometerConfig(gamma=0.9))
+        result = reconstruct_records(records, g)
+        assert purity(result.rho_hat) == pytest.approx(purity(truth), abs=0.05)
 
 
 def test_projection_distance_shrinks_with_shots():

@@ -186,6 +186,7 @@ def _bad_csv(tmp_path, bad_line, lineno=9):
 
 MALFORMED_ROWS = {
     "float-index": ("1.0,0,0.0,100,100,60,40", "invalid literal for int"),
+    "int64-overflow": ("0,0,0.0,99999999999999999999,10,10,0", "does not fit a 64-bit integer"),
     "six-fields": ("0,0,0.0,100,100,60", "expected 7 fields, got 6"),
     "trailing-note": ("0,0,0.0,100,100,60,40 # note", "could not convert string to float"),
     "negative-counts": ("0,0,0.0,100,100,110,-10", "nonnegative"),

@@ -18,6 +18,7 @@ from spectomo import (
     time_jitter_state,
     validate,
 )
+from spectomo.cli import main
 from conftest import random_contained_state
 
 
@@ -215,6 +216,19 @@ def test_frequency_jitter_warns_on_clipping():
     g = make_grid(0.0, 16.0, 64)
     with pytest.warns(DiagnosticWarning, match="mass-clipping"):
         frequency_jitter_state(gaussian_pure(g, 0.0, 1.0), 2.0)
+
+
+def test_frequency_jitter_wider_than_the_grid(tmp_path, capsys):
+    # 6 * jitter spans 3.8 grids: shifts of n bins or more land wholly off the
+    # grid and count as clipped mass instead of crashing the slice assignment.
+    g = make_grid(0.0, 16.0, 16)
+    with pytest.warns(DiagnosticWarning, match="mass-clipping"):
+        rho = frequency_jitter_state(gaussian_pure(g, 0.0, 1.0), 3.0)
+    assert rho.trace() == pytest.approx(1.0, abs=1e-12)
+    argv = ["gen-state", "freq-jitter", "--n", "16", "--jitter", "3", "--out", str(tmp_path / "x.json")]
+    capsys.readouterr()
+    assert main(argv) == 0
+    assert "mass-clipping" in capsys.readouterr().err
 
 
 def test_frequency_jitter_rejects_negative(grid64):
