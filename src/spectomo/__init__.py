@@ -57,7 +57,6 @@ from .measurement import (
 from .reconstruction import (
     CrossSectionEstimate,
     ReconstructionResult,
-    ReportDocument,
     assemble,
     calibrate_gamma,
     estimate_cross_section,

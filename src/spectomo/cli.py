@@ -51,7 +51,7 @@ from .errors import (
 )
 from .interferometer import InterferometerConfig
 from .measurement import plan_scan, read_records, simulate_counts, write_p_delta_table, write_records
-from .reconstruction import reconstruct_records, report
+from .reconstruction import MIN_VISIBILITY, reconstruct_records, report
 
 SI_MAX_DELTA_DEFAULT = 2 * math.pi * 1e9  # current AOMs top out around a GHz
 
@@ -146,18 +146,14 @@ def cmd_simulate(args) -> int:
     advisory = args.max_delta
     if advisory is None and args.units == "si":
         advisory = SI_MAX_DELTA_DEFAULT
-    gamma = complex(args.gamma)
     config = InterferometerConfig(
         xi=args.xi,
-        gamma=gamma,
+        gamma=complex(args.gamma),
         compensate_loss=True,
         detector_efficiency=args.efficiency,
-        max_delta=advisory,
     )
     with capture() as diags:
-        plan = plan_scan(
-            grid, max_delta_index, args.shots, args.seed, max_delta_advisory=config.max_delta
-        )
+        plan = plan_scan(grid, max_delta_index, args.shots, args.seed, max_delta_advisory=advisory)
         records = simulate_counts(state, plan, config, exact=args.exact)
     _print_warnings(diags)
     out = Path(args.out)
@@ -214,7 +210,7 @@ def cmd_reconstruct(args) -> int:
     out = Path(args.out)
     save_density_matrix(out, result.rho_hat, units=_units_label(args.units))
     report_path = Path(args.report_out) if args.report_out else out.with_suffix(".report.json")
-    report_path.write_text(json.dumps(doc.as_dict(), indent=2) + "\n")
+    report_path.write_text(json.dumps(doc, indent=2) + "\n")
     outputs = [out, report_path]
     if args.heatmap_out:
         heatmap = Path(args.heatmap_out)
@@ -227,14 +223,14 @@ def cmd_reconstruct(args) -> int:
     for path in outputs:
         _write_manifest(path, "reconstruct", inputs, outputs, params)
     if args.json:
-        print(json.dumps(doc.as_dict()))
+        print(json.dumps(doc))
     else:
         print(f"wrote {out} and {report_path}")
         print(f"gamma_hat {result.gamma_hat:.12g}")
-        print(f"purity {doc.purity:.12g}")
-        if doc.hs_distance is not None:
-            print(f"hs_distance {doc.hs_distance:.6e}")
-        for line in doc.warnings:
+        print(f"purity {doc['purity']:.12g}")
+        if "hs_distance" in doc:
+            print(f"hs_distance {doc['hs_distance']:.6e}")
+        for line in doc["warnings"]:
             print(f"warning [{line}]", file=sys.stderr)
     return EXIT_OK
 
@@ -357,7 +353,7 @@ def build_parser() -> argparse.ArgumentParser:
         "(overrides --n/--span/--center)",
     )
     rec.add_argument(
-        "--min-visibility", type=float, default=0.05, help="|gamma| floor before division"
+        "--min-visibility", type=float, default=MIN_VISIBILITY, help="|gamma| floor before division"
     )
     rec.add_argument("--heatmap-out", default=None, help="also write |rho| heatmap CSV")
     rec.add_argument("--json", action="store_true", help="print the report JSON to stdout")

@@ -50,8 +50,12 @@ class FrequencyGrid:
     n: int
 
     def __post_init__(self):
+        if not math.isfinite(self.omega_min):
+            raise ValueError(f"omega_min must be finite, got {self.omega_min}")
         if not self.d_omega > 0:
             raise ValueError(f"d_omega must be positive, got {self.d_omega}")
+        if not math.isfinite(self.d_omega):
+            raise ValueError(f"d_omega must be finite, got {self.d_omega}")
         if self.n < 2:
             raise ValueError(f"need at least 2 grid points, got {self.n}")
 
@@ -188,22 +192,21 @@ class SpectralDensityMatrix:
         kernel,
         *,
         renormalize: bool = True,
-        psd_tol: float = PSD_TOL,
     ) -> "SpectralDensityMatrix":
         """Build a state from an arbitrary kernel matrix.
 
         Symmetrizes to (K + K^dag)/2 (a no-op on already-Hermitian input),
         optionally renormalizes the trace to 1, and rejects kernels whose
-        minimum eigenvalue is below -psd_tol times the maximum one. The
+        minimum eigenvalue is below -PSD_TOL times the maximum one. The
         eigenvalues stay in the cache for `eigenvalues()` and `validate`.
         """
         m = hermitian_part(grid, kernel, renormalize=renormalize)
         w = np.linalg.eigvalsh(m) * grid.d_omega
         w_max = float(w[-1])
-        if w_max <= 0.0 or float(w[0]) < -psd_tol * w_max:
+        if w_max <= 0.0 or float(w[0]) < -PSD_TOL * w_max:
             raise ValueError(
                 f"kernel is not positive semidefinite: eigenvalues in "
-                f"[{w[0]:.3e}, {w_max:.3e}], tolerance {psd_tol:.1e}"
+                f"[{w[0]:.3e}, {w_max:.3e}], tolerance {PSD_TOL:.1e}"
             )
         state = cls(grid, m)
         w.flags.writeable = False

@@ -54,40 +54,34 @@ class InterferometerConfig:
     the delay arm is attenuated to the same amplitude sqrt(xi), which leaves
     the post-selected statistics untouched and multiplies the post-selection
     success rate by xi * detector_efficiency. gamma is the (possibly complex)
-    transverse-mode overlap; |gamma| scales the fringe visibility.
-    `max_delta` is an advisory hardware limit on the frequency shift.
+    transverse-mode overlap; |gamma| scales the fringe visibility. The
+    post-selected model holds only for xi = 1 or matched loss, so xi < 1
+    without `compensate_loss` is rejected at construction.
     """
 
     xi: float = 1.0
     gamma: complex = 1.0 + 0.0j
     compensate_loss: bool = False
     detector_efficiency: float = 1.0
-    max_delta: float | None = None
 
     def __post_init__(self):
         if not 0.0 <= self.xi <= 1.0:
             raise ValueError(f"xi must be in [0, 1], got {self.xi}")
-        if abs(self.gamma) > 1.0 + 1e-12:
+        if not abs(self.gamma) <= 1.0 + 1e-12:
             raise ValueError(f"|gamma| must be <= 1, got {abs(self.gamma)}")
         if not 0.0 < self.detector_efficiency <= 1.0:
             raise ValueError(
                 f"detector_efficiency must be in (0, 1], got {self.detector_efficiency}"
             )
-        if self.max_delta is not None and self.max_delta <= 0:
-            raise ValueError(f"max_delta must be positive, got {self.max_delta}")
+        if self.xi < 1.0 and not self.compensate_loss:
+            raise ValueError(
+                "xi < 1 without compensate_loss unbalances the interferometer; "
+                "post-selected statistics are not modeled in that regime"
+            )
 
     @property
     def post_selection_rate(self) -> float:
         return self.xi * self.detector_efficiency
-
-
-def require_post_selected_regime(config: InterferometerConfig) -> None:
-    """The post-selected model holds only for xi = 1 or matched loss."""
-    if config.xi < 1.0 and not config.compensate_loss:
-        raise ValueError(
-            "xi < 1 without compensate_loss unbalances the interferometer; "
-            "post-selected statistics are not modeled in that regime"
-        )
 
 
 def _check_delta(state: SpectralDensityMatrix, delta_index: int) -> int:

@@ -21,20 +21,15 @@ from __future__ import annotations
 
 import cmath
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
 
 from .core import FrequencyGrid
-from .diagnostics import Diagnostic, emit
+from .diagnostics import emit
 from .errors import DataFormatError, InsufficientDataError
-from .interferometer import (
-    InterferometerConfig,
-    MeasurementSetting,
-    band_transforms,
-    require_post_selected_regime,
-)
+from .interferometer import InterferometerConfig, MeasurementSetting, band_transforms
 
 THETAS = (0.0, math.pi / 2.0)
 THETA_TOL = 1e-9  # a row's theta must lie this close to one of THETAS
@@ -264,7 +259,6 @@ class ScanPlan:
     max_delta_index: int
     shots_per_setting: int
     seed: int
-    warnings: tuple[Diagnostic, ...] = field(default=(), compare=False)
 
     def __post_init__(self):
         if not 0 <= self.max_delta_index < self.grid.n:
@@ -302,21 +296,22 @@ def plan_scan(
     """Plan covering delta_index 0..max_delta_index over the full delay grid.
 
     Total settings: 2 * n * (max_delta_index + 1) tomography rows plus the
-    two calibration rows. If the largest shift exceeds `max_delta_advisory`
-    (a hardware limit, e.g. what an AOM can actually drive), the plan carries
-    a hardware-advisory diagnostic.
+    two calibration rows. `max_delta_advisory` is a positive hardware limit on
+    the shift (e.g. what an AOM can actually drive); a plan that exceeds it
+    emits a hardware-advisory diagnostic, which the plan does not store.
     """
+    if max_delta_advisory is not None and not max_delta_advisory > 0:
+        raise ValueError(f"max_delta must be positive, got {max_delta_advisory}")
     plan = ScanPlan(grid=grid, max_delta_index=max_delta_index, shots_per_setting=shots, seed=seed)
     max_shift = max_delta_index * grid.d_omega
     if max_delta_advisory is not None and max_shift > max_delta_advisory:
-        diag = emit(
+        emit(
             "hardware-advisory",
             f"planned frequency shift {max_shift:.6g} rad/s exceeds the advisory "
             f"limit {max_delta_advisory:.6g} rad/s",
             max_shift=max_shift,
             advisory_limit=max_delta_advisory,
         )
-        plan = replace(plan, warnings=(diag,))
     return plan
 
 
@@ -332,7 +327,6 @@ def simulate_counts(state, plan: ScanPlan, config: InterferometerConfig, *, exac
     then all their counts_A in a second. Exact mode keeps every shot and
     stores counts_A = shots * P_A unrounded.
     """
-    require_post_selected_regime(config)
     delta_index, tau_index, slot = plan.cells()
     g = band_transforms(state, plan.delta_indices)[delta_index, tau_index]
     # Re[c * G] as CPython's complex product forms it, c = gamma * e^{i theta}.
@@ -456,6 +450,9 @@ def _field_error(path, lines, linenos) -> str | None:
         if len(parts) != len(_CSV_FIELDS):
             return f"{path}:{lineno}: expected {len(_CSV_FIELDS)} fields, got {len(parts)}"
         for text, (name, kind) in zip(parts, _CSV_FIELDS):
+            if "_" in text or not text.isascii():
+                # int() and float() take these; np.loadtxt does not.
+                return f"{path}:{lineno}: {name} = {text!r} holds a digit separator or a non-ASCII character"
             try:
                 value = kind(text)
             except ValueError as exc:

@@ -58,7 +58,6 @@ class CrossSectionEstimate:
 
 @dataclass
 class ReconstructionResult:
-    grid: FrequencyGrid
     rho_hat: SpectralDensityMatrix
     gamma_hat: complex
     pre_projection_min_eigenvalue: float
@@ -126,8 +125,11 @@ def estimate_cross_section(
     the theta=0 row measures Re[gamma G], the theta=pi/2 row -Im[gamma G].
     Errors propagate linearly, including the 1/|gamma_hat| amplification.
     `records` is a ScanTable or a list of records of one delta_index; a row
-    with delta or tau index off the n-grid raises ValueError.
+    with delta or tau index off the n-grid, or a `min_visibility` outside
+    (0, 1], raises ValueError.
     """
+    if not 0.0 < min_visibility <= 1.0:
+        raise ValueError(f"min_visibility must be in (0, 1], got {min_visibility}")
     if abs(gamma_hat) < min_visibility:
         raise VisibilityTooLowError(
             f"|gamma_hat| = {abs(gamma_hat):.4f} below the floor {min_visibility}; "
@@ -275,7 +277,6 @@ def reconstruct_records(
             diff = estimates[m].g_of_tau - forward
             residuals.append(math.sqrt(float(np.vdot(diff, diff).real) / grid.n))
     return ReconstructionResult(
-        grid=grid,
         rho_hat=rho_hat,
         gamma_hat=gamma_hat,
         pre_projection_min_eigenvalue=min_eig,
@@ -285,46 +286,20 @@ def reconstruct_records(
     )
 
 
-@dataclass
-class ReportDocument:
-    """Reconstruction metrics; truth-dependent fields present when truth is given."""
-
-    purity: float
-    gamma_hat: complex
-    min_eigenvalue_pre_projection: float
-    residuals: list[float]
-    warnings: list[str]
-    hs_distance: float | None = None
-    overlap: float | None = None
-
-    def as_dict(self) -> dict:
-        doc = {
-            "purity": self.purity,
-            "gamma_hat": [self.gamma_hat.real, self.gamma_hat.imag],
-            "min_eigenvalue_pre_projection": self.min_eigenvalue_pre_projection,
-            "residuals": self.residuals,
-            "warnings": self.warnings,
-        }
-        if self.hs_distance is not None:
-            doc["hs_distance"] = self.hs_distance
-        if self.overlap is not None:
-            doc["overlap"] = self.overlap
-        return doc
-
-
-def report(
-    result: ReconstructionResult, truth: SpectralDensityMatrix | None = None
-) -> ReportDocument:
-    """Summarize a reconstruction, optionally against the known true state."""
-    doc = ReportDocument(
-        purity=purity(result.rho_hat),
-        gamma_hat=result.gamma_hat,
-        min_eigenvalue_pre_projection=result.pre_projection_min_eigenvalue,
-        residuals=list(result.residuals),
-        warnings=[str(diag) for diag in result.warnings],
-    )
+def report(result: ReconstructionResult, truth: SpectralDensityMatrix | None = None) -> dict:
+    """The report JSON document: purity, gamma_hat as [re, im], the smallest
+    pre-projection eigenvalue, residuals and warnings, then hs_distance and
+    overlap against `truth` when it is given."""
+    rho_hat = result.rho_hat
+    doc = {
+        "purity": purity(rho_hat),
+        "gamma_hat": [result.gamma_hat.real, result.gamma_hat.imag],
+        "min_eigenvalue_pre_projection": result.pre_projection_min_eigenvalue,
+        "residuals": list(result.residuals),
+        "warnings": [str(diag) for diag in result.warnings],
+    }
     if truth is not None:
-        truth.grid.require_compatible(result.grid)
-        doc.hs_distance = hs_distance(result.rho_hat.rho, truth.rho, result.grid)
-        doc.overlap = hs_overlap(truth, result.rho_hat)
+        truth.grid.require_compatible(rho_hat.grid)
+        doc["hs_distance"] = hs_distance(rho_hat.rho, truth.rho, rho_hat.grid)
+        doc["overlap"] = hs_overlap(truth, rho_hat)
     return doc

@@ -18,7 +18,7 @@ import cmath
 
 import numpy as np
 
-from spectomo.core import PSD_TOL, SpectralDensityMatrix
+from spectomo.core import PSD_TOL, SpectralDensityMatrix, hermitian_part
 from spectomo.interferometer import (
     InterferometerConfig,
     MeasurementSetting,
@@ -26,7 +26,6 @@ from spectomo.interferometer import (
     _lower_band,
     _warn_clipping,
     band_transforms,
-    require_post_selected_regime,
     shifted_trace_deficit,
 )
 
@@ -84,7 +83,6 @@ def conditional_state(
     conj(gamma). Returns (normalized state, p_A). When p_A vanishes (dark
     port) the conditional state is undefined and None is returned.
     """
-    require_post_selected_regime(config)
     k = _check_delta(state, setting.delta_index)
     grid = state.grid
     m = state.rho
@@ -103,9 +101,15 @@ def conditional_state(
         return None, p_a
     # Float cancellation near dark settings perturbs eigenvalues by ~eps/p_A
     # even though the exact kernel is positive; widen the check accordingly.
-    psd_tol = max(PSD_TOL, 16.0 * grid.n * _EPS / p_a)
-    out = SpectralDensityMatrix.from_kernel(grid, kernel, renormalize=True, psd_tol=psd_tol)
-    return out, p_a
+    tol = max(PSD_TOL, 16.0 * grid.n * _EPS / p_a)
+    m = hermitian_part(grid, kernel)
+    w = np.linalg.eigvalsh(m) * grid.d_omega
+    if w[-1] <= 0.0 or w[0] < -tol * w[-1]:
+        raise ValueError(
+            f"conditional kernel is not positive semidefinite: eigenvalues in "
+            f"[{w[0]:.3e}, {w[-1]:.3e}], tolerance {tol:.1e}"
+        )
+    return SpectralDensityMatrix(grid, m), p_a
 
 
 def probabilities_quadrature(

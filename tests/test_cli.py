@@ -138,6 +138,24 @@ def test_simulate_rejects_negative_seed(tmp_path, capsys, mode):
     assert not (tmp_path / "x.csv").exists()
 
 
+@pytest.mark.parametrize("mode", [[], ["--exact"]])
+@pytest.mark.parametrize(
+    "flag, value, message",
+    [
+        ("--gamma", "nan", "|gamma| must be <= 1, got nan"),
+        ("--max-delta", "nan", "max_delta must be positive, got nan"),
+        ("--max-delta", "-1", "max_delta must be positive, got -1.0"),
+    ],
+    ids=["gamma-nan", "max-delta-nan", "max-delta-negative"],
+)
+def test_simulate_rejects_bad_hardware_values(tmp_path, capsys, flag, value, message, mode):
+    state = _gen(tmp_path, extra=["--n", "16"])
+    argv = ["simulate", str(state), "--out", str(tmp_path / "x.csv"), flag, value, *mode]
+    assert main(argv) == 2
+    assert f"error: {message}" in capsys.readouterr().err
+    assert not (tmp_path / "x.csv").exists()
+
+
 def test_simulate_missing_state_file(tmp_path):
     assert main(["simulate", str(tmp_path / "nope.json"), "--out", str(tmp_path / "x.csv")]) == 3
 
@@ -286,6 +304,21 @@ def test_reconstruct_rejects_malformed_truth(tmp_path, capsys, case):
     assert "kernel entries" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("floor", ["0", "nan", "-1", "1.5"])
+def test_reconstruct_rejects_min_visibility_outside_unit_interval(tmp_path, capsys, floor):
+    # A --gamma 0 scan calibrates to gamma_hat = 0; only a positive floor
+    # keeps the cross-section division away from it.
+    state = _gen(tmp_path, extra=["--n", "16"])
+    csv = tmp_path / "records.csv"
+    assert main(["simulate", str(state), "--out", str(csv), "--gamma", "0", "--exact"]) == 0
+    out = tmp_path / "rho.json"
+    capsys.readouterr()
+    argv = ["reconstruct", str(csv), "--truth", str(state), "--out", str(out), "--min-visibility", floor]
+    assert main(argv) == 2
+    assert "error: min_visibility must be in (0, 1]" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_reconstruct_malformed_csv(tmp_path):
     bad = tmp_path / "bad.csv"
     bad.write_text("hello\n")
@@ -314,6 +347,29 @@ def test_analyze_overlap_matrix(tmp_path, capsys):
     assert overlap[0, 1] == pytest.approx(doc["purity"][0], abs=1e-10)
     assert overlap[0, 2] == pytest.approx(math.exp(-1.0), abs=1e-4)
     assert overlap[2, 0] == pytest.approx(overlap[0, 2], abs=1e-12)
+
+
+@pytest.mark.parametrize(
+    "key, value",
+    [("omega_min", math.inf), ("omega_min", math.nan), ("d_omega", math.inf)],
+    ids=["omega-min-infinity", "omega-min-nan", "d-omega-infinity"],
+)
+def test_analyze_rejects_non_finite_grid(tmp_path, capsys, key, value):
+    state = _gen(tmp_path, extra=["--n", "16"])
+    doc = json.loads(state.read_text())
+    doc[key] = value
+    state.write_text(json.dumps(doc))
+    capsys.readouterr()
+    assert main(["analyze", str(state)]) == 3
+    err = capsys.readouterr().err
+    assert f"file does not hold a physical density matrix: {key} must be finite" in err
+
+
+def test_gen_state_rejects_nan_center(tmp_path, capsys):
+    out = tmp_path / "x.json"
+    assert main(["gen-state", "gaussian", "--out", str(out), "--center", "nan"]) == 2
+    assert "error: omega_min must be finite, got nan" in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_analyze_grid_mismatch(tmp_path):

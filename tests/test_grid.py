@@ -46,6 +46,21 @@ def test_invalid_arguments():
         FrequencyGrid(omega_min=0.0, d_omega=-0.1, n=4)
 
 
+@pytest.mark.parametrize(
+    "omega_min, d_omega, message",
+    [
+        (math.inf, 0.5, "omega_min must be finite, got inf"),
+        (math.nan, 0.5, "omega_min must be finite, got nan"),
+        (0.0, math.inf, "d_omega must be finite, got inf"),
+        (0.0, math.nan, "d_omega must be positive, got nan"),
+    ],
+    ids=["omega-min-infinity", "omega-min-nan", "d-omega-infinity", "d-omega-nan"],
+)
+def test_grid_rejects_non_finite_values(omega_min, d_omega, message):
+    with pytest.raises(ValueError, match=message):
+        FrequencyGrid(omega_min=omega_min, d_omega=d_omega, n=4)
+
+
 def test_compatibility():
     a = make_grid(0.0, 16.0, 64)
     b = make_grid(0.0, 16.0, 64)

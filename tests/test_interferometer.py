@@ -295,9 +295,13 @@ def test_config_validation():
         InterferometerConfig(xi=1.2)
     with pytest.raises(ValueError):
         InterferometerConfig(gamma=1.5)
+    with pytest.raises(ValueError, match="got nan"):
+        InterferometerConfig(gamma=complex("nan"))
+    with pytest.raises(ValueError, match="compensate_loss"):
+        InterferometerConfig(xi=0.7)
     with pytest.raises(ValueError):
         InterferometerConfig(detector_efficiency=0.0)
     with pytest.raises(ValueError):
         MeasurementSetting(0.0, -2, 0.0)
-    config = InterferometerConfig(xi=0.7, detector_efficiency=0.5)
+    config = InterferometerConfig(xi=0.7, compensate_loss=True, detector_efficiency=0.5)
     assert config.post_selection_rate == pytest.approx(0.35)

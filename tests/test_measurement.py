@@ -21,6 +21,7 @@ from spectomo import (
     simulate_counts,
     write_records,
 )
+from spectomo.diagnostics import capture
 from spectomo.measurement import THETAS, p_delta_rows
 
 IDEAL = InterferometerConfig()
@@ -72,10 +73,13 @@ def test_plan_counts_full_delta():
 def test_plan_hardware_advisory():
     g = make_grid(0.0, 8.0, 8)
     with pytest.warns(DiagnosticWarning, match="hardware-advisory"):
-        plan = plan_scan(g, 7, shots=100, seed=1, max_delta_advisory=2.0)
-    assert any(d.code == "hardware-advisory" for d in plan.warnings)
-    quiet = plan_scan(g, 1, shots=100, seed=1, max_delta_advisory=2.0)
-    assert quiet.warnings == ()
+        plan_scan(g, 7, shots=100, seed=1, max_delta_advisory=2.0)
+    with capture() as loud:
+        plan_scan(g, 7, shots=100, seed=1, max_delta_advisory=2.0)
+    assert any(d.code == "hardware-advisory" for d in loud)
+    with capture() as quiet:
+        plan_scan(g, 1, shots=100, seed=1, max_delta_advisory=2.0)
+    assert quiet == []
 
 
 # ---------------------------------------------------------------------------

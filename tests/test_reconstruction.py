@@ -428,8 +428,8 @@ def test_report_self_comparison(standard_states):
     rho = standard_states["time-jitter"]
     result = reconstruct_records(exact_records(rho), rho.grid)
     doc = report(result, truth=result.rho_hat)
-    assert doc.hs_distance == pytest.approx(0.0, abs=1e-14)
-    assert doc.overlap == pytest.approx(purity(result.rho_hat), abs=1e-12)
+    assert doc["hs_distance"] == pytest.approx(0.0, abs=1e-14)
+    assert doc["overlap"] == pytest.approx(purity(result.rho_hat), abs=1e-12)
 
 
 def test_report_round_trip_purity(standard_states):
@@ -439,10 +439,9 @@ def test_report_round_trip_purity(standard_states):
         doc = report(result, truth=rho)
         expected = 1.0 if name == "pure-gaussian" else purity(rho)
         tol = 1e-8 if name == "pure-gaussian" else 1e-6
-        assert doc.purity == pytest.approx(expected, abs=tol)
-        assert doc.hs_distance < 1e-8
-        payload = doc.as_dict()
-        assert set(payload) >= {
+        assert doc["purity"] == pytest.approx(expected, abs=tol)
+        assert doc["hs_distance"] < 1e-8
+        assert set(doc) >= {
             "purity",
             "gamma_hat",
             "min_eigenvalue_pre_projection",

@@ -195,6 +195,8 @@ MALFORMED_ROWS = {
     "index-out-of-range": ("16,0,0.0,100,100,60,40", "indices out of range for an n=16 grid"),
     "theta-off-grid": ("0,0,1.0,100,100,60,40", "theta_rad must be 0 or pi/2"),
     "theta-nan": ("0,0,nan,100,100,60,40", "theta_rad must be 0 or pi/2"),
+    "digit-separator": ("1_0,0,0.0,100,100,60,40", "delta_index = '1_0' holds a digit separator"),
+    "non-ascii-digit": ("0,0,0.0,\u0661\u0660\u0660,100,60,40", "non-ASCII character"),
 }
 
 
