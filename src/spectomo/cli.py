@@ -16,6 +16,7 @@ import math
 import sys
 import warnings
 from datetime import datetime, timezone
+from itertools import chain, repeat
 from pathlib import Path
 
 import numpy as np
@@ -194,11 +195,19 @@ def _write_heatmap(path: Path, state: SpectralDensityMatrix) -> None:
     # hypot, not np.abs: numpy's vectorized complex abs can be 1 ulp off libm.
     magnitude = _mirror_reprs(np.hypot(upper.real, upper.imag), n)
     omegas = [float.__repr__(grid.omega(i)) for i in range(n)]
+    # Row i is the pieces i ",j," omega_i ",omega_j," re "," im "," abs "\n" of
+    # each cell, joined in C; the pieces that vary only by column are built once.
+    col_j = [f",{j}," for j in range(n)]
+    col_omega = [f",{w}," for w in omegas]
+    comma, newline = repeat(","), repeat("\n")
     with open(path, "w", newline="\n") as f:
         f.write("i,j,omega_i,omega_j,re,im,abs\n")
         for i, omega_i in enumerate(omegas):
-            cells = enumerate(zip(omegas, re[i], im[i], magnitude[i]))
-            f.write("".join([f"{i},{j},{omega_i},{w},{a},{b},{c}\n" for j, (w, a, b, c) in cells]))
+            cells = zip(
+                repeat(str(i)), col_j, repeat(omega_i), col_omega,
+                re[i], comma, im[i], comma, magnitude[i], newline,
+            )
+            f.write("".join(chain.from_iterable(cells)))
 
 
 def cmd_reconstruct(args) -> int:

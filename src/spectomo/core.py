@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import json
 import math
+import re
 from dataclasses import dataclass, field
 from functools import cached_property
 from pathlib import Path
@@ -257,8 +258,12 @@ def gaussian_pure(
     fully covered by the grid, and separately if more than CLIP_WARN of the
     probability mass falls outside the grid edges.
     """
-    if not sigma > 0:
-        raise ValueError(f"sigma must be positive, got {sigma}")
+    if not math.isfinite(omega0):
+        raise ValueError(f"omega0 must be finite, got {omega0}")
+    if not 0 < sigma < math.inf:
+        raise ValueError(f"sigma must be positive and finite, got {sigma}")
+    if not math.isfinite(chirp):
+        raise ValueError(f"chirp must be finite, got {chirp}")
     if omega0 - 4 * sigma < grid.omega_min or omega0 + 4 * sigma > grid.omega_max:
         emit(
             "grid-coverage",
@@ -321,8 +326,8 @@ def time_jitter_state(psi: PureSpectralAmplitude, jitter_std: float) -> Spectral
     exp(-jitter_std**2 * (omega_1 - omega_2)**2 / 2). The diagonal (and hence
     the measured spectrum) is exactly |psi|^2 for every jitter strength.
     """
-    if jitter_std < 0:
-        raise ValueError(f"jitter_std must be nonnegative, got {jitter_std}")
+    if not 0 <= jitter_std < math.inf:
+        raise ValueError(f"jitter_std must be nonnegative and finite, got {jitter_std}")
     omegas = psi.grid.omegas
     delta = omegas[:, None] - omegas[None, :]
     damping = np.exp(-0.5 * (jitter_std * delta) ** 2)
@@ -341,8 +346,8 @@ def frequency_jitter_state(
     more bins loses all of it); the final trace renormalization absorbs that,
     with a warning above CLIP_WARN.
     """
-    if jitter_std < 0:
-        raise ValueError(f"jitter_std must be nonnegative, got {jitter_std}")
+    if not 0 <= jitter_std < math.inf:
+        raise ValueError(f"jitter_std must be nonnegative and finite, got {jitter_std}")
     if jitter_std == 0:
         return density_from_pure(psi)
     grid = psi.grid
@@ -559,11 +564,61 @@ def save_density_matrix(path, state: SpectralDensityMatrix, units: str = DENSITY
         f.write("]}\n")
 
 
-def load_density_matrix(path) -> SpectralDensityMatrix:
+# The `rho` value as `save_density_matrix` writes it: [re, im] pairs of finite
+# floats exactly as `float.__repr__` spells them, each a valid JSON number. The
+# possessive repeat `*+` (Python 3.11) keeps no backtracking state per pair; a
+# plain `*` held about 0.9 GB matching an n=1024 file.
+_REPR_FLOAT = r"-?(?:0|[1-9][0-9]*)(?:\.[0-9]+(?:e[-+][0-9]+)?|e[-+][0-9]+)"
+_REPR_PAIR = rf"\[{_REPR_FLOAT}, {_REPR_FLOAT}\]"
+_CANONICAL_RHO = re.compile(rf"\[(?:{_REPR_PAIR}(?:, {_REPR_PAIR})*+)?\]")
+_RHO_KEY = '"rho": '
+_DROP_BRACKETS = str.maketrans("", "", "[]")
+
+
+def _canonical_document(text: str) -> dict | None:
+    """The document of a text laid out as `save_density_matrix` writes it, else None.
+
+    Such a text is `<head>"rho": <body>}` plus JSON whitespace, where `<body>`
+    matches `_CANONICAL_RHO` and `<head>"rho": []}` is a JSON object whose
+    `rho` is `[]`. It is then valid JSON whose last key is `rho`, so
+    `json.loads(text)` gives the same dict; here `rho` comes back as an
+    (entries, 2) float64 array parsed by numpy in one pass, with the values
+    `float()` gives each number, and no Python object per entry.
+    """
+    key = text.find(_RHO_KEY)
+    if key < 0:
+        return None
+    start = key + len(_RHO_KEY)
+    end = len(text)
+    while end > start and text[end - 1] in " \t\n\r":
+        end -= 1
+    if end <= start or text[end - 1] != "}" or not _CANONICAL_RHO.fullmatch(text, start, end - 1):
+        return None
     try:
-        doc = json.loads(Path(path).read_text())
-    except json.JSONDecodeError as exc:
-        raise DataFormatError(f"{path}: not valid JSON: {exc}") from exc
-    if not isinstance(doc, dict):
-        raise DataFormatError(f"{path}: expected a JSON object")
+        doc = json.loads(text[:start] + "[]}")
+    except json.JSONDecodeError:
+        return None
+    if not isinstance(doc, dict) or doc.get("rho") != []:
+        return None
+    doc["rho"] = np.fromstring(text[start : end - 1].translate(_DROP_BRACKETS), sep=",").reshape(-1, 2)
+    return doc
+
+
+def load_density_matrix(path) -> SpectralDensityMatrix:
+    """Read a density-matrix JSON file: any JSON object `density_matrix_from_dict` accepts.
+
+    Text laid out as `save_density_matrix` writes it skips `json.loads` for
+    its `rho` list (see `_canonical_document`); any other text is read by
+    `json.loads`. Both give bit-identical kernels and the same errors.
+    """
+    text = Path(path).read_text()
+    doc = _canonical_document(text)
+    if doc is None:
+        try:
+            doc = json.loads(text)
+        except json.JSONDecodeError as exc:
+            raise DataFormatError(f"{path}: not valid JSON: {exc}") from exc
+        if not isinstance(doc, dict):
+            raise DataFormatError(f"{path}: expected a JSON object")
+    del text  # free the text before the kernel checks
     return density_matrix_from_dict(doc)

@@ -403,7 +403,8 @@ def pool_records(records) -> ScanTable:
 # Record file format (CSV, also the import path for real laboratory data)
 # ---------------------------------------------------------------------------
 
-# CSV fields and the Python type each parses as (`int("1.0")` is an error).
+# CSV fields and the Python type each parses as (`int("1.0")` is an error);
+# messages name a field as the file's header does.
 _CSV_FIELDS = (
     ("delta_index", int), ("tau_index", int), ("theta", float), ("shots_attempted", int),
     ("shots_postselected", float), ("counts_a", float), ("counts_b", float),
@@ -421,12 +422,13 @@ def _format_counts(col: np.ndarray) -> list:
 def write_records(path, records) -> None:
     """CSV of a ScanTable or a list of records, one line per row."""
     table = as_table(records)
+    theta_text = [repr(theta) for theta in THETAS]
     lines = [
         f"{d},{k},{theta},{shots},{post},{a},{b}"
         for d, k, theta, shots, post, a, b in zip(
             table.delta_index.tolist(),
             table.tau_index.tolist(),
-            map(float.__repr__, table.theta.tolist()),
+            map(theta_text.__getitem__, table.theta_slot.tolist()),
             table.shots_attempted.tolist(),
             _format_counts(table.shots_postselected),
             _format_counts(table.counts_a),
@@ -449,7 +451,7 @@ def _field_error(path, lines, linenos) -> str | None:
         parts = line.split(",")
         if len(parts) != len(_CSV_FIELDS):
             return f"{path}:{lineno}: expected {len(_CSV_FIELDS)} fields, got {len(parts)}"
-        for text, (name, kind) in zip(parts, _CSV_FIELDS):
+        for text, name, (_, kind) in zip(parts, RECORD_HEADER.split(","), _CSV_FIELDS):
             if "_" in text or not text.isascii():
                 # int() and float() take these; np.loadtxt does not.
                 return f"{path}:{lineno}: {name} = {text!r} holds a digit separator or a non-ASCII character"

@@ -372,6 +372,30 @@ def test_gen_state_rejects_nan_center(tmp_path, capsys):
     assert not out.exists()
 
 
+@pytest.mark.parametrize(
+    "kind, flag, value, message",
+    [
+        ("gaussian", "--omega0", "nan", "omega0 must be finite, got nan"),
+        ("gaussian", "--sigma", "inf", "sigma must be positive and finite, got inf"),
+        ("chirped", "--chirp", "nan", "chirp must be finite, got nan"),
+        ("chirped", "--chirp", "inf", "chirp must be finite, got inf"),
+        ("time-jitter", "--jitter", "nan", "jitter_std must be nonnegative and finite, got nan"),
+        ("time-jitter", "--jitter", "inf", "jitter_std must be nonnegative and finite, got inf"),
+        ("freq-jitter", "--jitter", "nan", "jitter_std must be nonnegative and finite, got nan"),
+        ("freq-jitter", "--jitter", "inf", "jitter_std must be nonnegative and finite, got inf"),
+    ],
+    ids=[
+        "gaussian-omega0-nan", "gaussian-sigma-inf", "chirped-chirp-nan", "chirped-chirp-inf",
+        "time-jitter-nan", "time-jitter-inf", "freq-jitter-nan", "freq-jitter-inf",
+    ],
+)
+def test_gen_state_rejects_non_finite_shape(tmp_path, capsys, kind, flag, value, message):
+    out = tmp_path / "x.json"
+    assert main(["gen-state", kind, "--n", "16", "--out", str(out), flag, value]) == 2
+    assert f"error: {message}" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_analyze_grid_mismatch(tmp_path):
     a = _gen(tmp_path, name="a.json", extra=["--n", "16"])
     b = _gen(tmp_path, name="b.json", extra=["--n", "32"])

@@ -1,7 +1,10 @@
 import json
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from spectomo import (
     DataFormatError,
@@ -12,6 +15,7 @@ from spectomo import (
     save_density_matrix,
     time_jitter_state,
 )
+from spectomo.core import _canonical_document, density_matrix_from_dict
 from conftest import MALFORMED_RHO, density_matrix_to_dict
 
 
@@ -108,5 +112,150 @@ def test_loader_rejects_malformed_entries(tmp_path, grid64, case):
     path = tmp_path / "bad.json"
     path.write_text(json.dumps(doc))
     match = "finite" if "nan" in case or "infinity" in case else "kernel entries"
-    with pytest.raises(DataFormatError, match=match):
+    with pytest.raises(DataFormatError, match=match) as excinfo:
         load_density_matrix(path)
+    assert ("DataFormatError", str(excinfo.value)) == _outcome(_reference_load, path)
+
+
+# ---------------------------------------------------------------------------
+# Reader: the canonical fast path against a plain json.loads of the file
+# ---------------------------------------------------------------------------
+
+EDGE_FLOATS = [
+    0.0, -0.0, 5e-324, -5e-324, 2.2250738585072014e-308, 1e-05, 1e16, -1e16,
+    1.7976931348623157e308, -1.7976931348623157e308,
+]
+finite_floats = st.one_of(st.sampled_from(EDGE_FLOATS), st.floats(allow_nan=False, allow_infinity=False))
+
+
+def _reference_load(path):
+    """The loader as one `json.loads` of the whole text."""
+    try:
+        doc = json.loads(Path(path).read_text())
+    except json.JSONDecodeError as exc:
+        raise DataFormatError(f"{path}: not valid JSON: {exc}") from exc
+    if not isinstance(doc, dict):
+        raise DataFormatError(f"{path}: expected a JSON object")
+    return density_matrix_from_dict(doc)
+
+
+def _outcome(load, path):
+    """`rho` bytes of a successful load, else the exception's type and message."""
+    try:
+        return "rho", load(path).rho.tobytes()
+    except (DataFormatError, RuntimeWarning) as exc:  # RuntimeWarning: overflow near the largest float
+        return type(exc).__name__, str(exc)
+
+
+def _n2_text(d_omega, pairs):
+    doc = {"omega_min": 0.0, "d_omega": d_omega, "n": 2, "units": "dimensionless", "rho": pairs}
+    return json.dumps(doc) + "\n"
+
+
+@settings(max_examples=200, deadline=None)
+@given(values=st.lists(finite_floats, min_size=8, max_size=8))
+@example(values=EDGE_FLOATS[:8])
+@example(values=EDGE_FLOATS[2:])
+def test_canonical_reader_parses_every_finite_float_as_json_does(tmp_path_factory, values):
+    text = _n2_text(0.5, [values[k : k + 2] for k in range(0, 8, 2)])
+    doc = _canonical_document(text)
+    assert doc is not None
+    expected = np.array(json.loads(text)["rho"], dtype=np.float64)
+    assert doc["rho"].dtype == np.float64
+    assert doc["rho"].tobytes() == expected.tobytes()
+    path = tmp_path_factory.getbasetemp() / "any-floats.json"
+    path.write_text(text)
+    assert _outcome(load_density_matrix, path) == _outcome(_reference_load, path)
+
+
+small = st.one_of(st.sampled_from(EDGE_FLOATS[:6]), st.floats(-0.05, 0.05))
+
+
+@settings(max_examples=100, deadline=None)
+@given(a=st.floats(0.1, 10.0), b=st.floats(0.1, 10.0), c=small, e=small)
+def test_canonical_reader_loads_physical_states_as_json_does(tmp_path_factory, a, b, c, e):
+    # [[a, c + ie], [c - ie, b]] with d_omega = 1/(a + b): unit trace, PSD as |c + ie|^2 <= ab.
+    text = _n2_text(1.0 / (a + b), [[a, 0.0], [c, e], [c, -e], [b, 0.0]])
+    path = tmp_path_factory.getbasetemp() / "physical.json"
+    path.write_text(text)
+    kind, rho = _outcome(load_density_matrix, path)
+    assert kind == "rho"
+    assert (kind, rho) == _outcome(_reference_load, path)
+
+
+def _saved_text(tmp_path, state):
+    path = tmp_path / "saved.json"
+    save_density_matrix(path, state)
+    return path.read_text()
+
+
+NON_CANONICAL = {
+    "indent-2": lambda text: json.dumps(json.loads(text), indent=2),
+    "rho-first": lambda text: json.dumps({"rho": json.loads(text)["rho"], **json.loads(text)}),
+    "extra-whitespace": lambda text: " " + text.replace("], [", "] ,\n\t[ ").replace("]]}", "]\r\n] }") + " \n",
+    "compact": lambda text: json.dumps(json.loads(text), separators=(",", ":")),
+}
+
+
+@pytest.mark.parametrize("layout", sorted(NON_CANONICAL))
+def test_loader_reads_other_layouts_as_json_does(tmp_path, grid64, layout):
+    state = time_jitter_state(gaussian_pure(grid64, 0.5, 1.0, chirp=0.4), 0.7)
+    text = NON_CANONICAL[layout](_saved_text(tmp_path, state))
+    assert _canonical_document(text) is None
+    path = tmp_path / "other.json"
+    path.write_text(text)
+    np.testing.assert_array_equal(load_density_matrix(path).rho, state.rho)
+    assert _outcome(load_density_matrix, path) == _outcome(_reference_load, path)
+
+
+def test_loader_reads_integer_entries(tmp_path):
+    # [[1, 0], [0, 1]] on d_omega = 0.5 has unit trace.
+    text = json.dumps({"omega_min": 0.0, "d_omega": 0.5, "n": 2, "rho": [[1, 0], [0, 0], [0, 0], [1, 0]]})
+    assert _canonical_document(text) is None
+    path = tmp_path / "int.json"
+    path.write_text(text)
+    np.testing.assert_array_equal(load_density_matrix(path).rho, np.eye(2))
+    assert _outcome(load_density_matrix, path) == _outcome(_reference_load, path)
+
+
+# Numbers that a lenient float parser takes and JSON does not, and one JSON
+# takes that overflows to infinity.
+RAW_EDITS = {
+    "plus-sign": "+1.0",
+    "trailing-point": "1.",
+    "leading-point": ".5",
+    "leading-zero": "01.5",
+    "digit-separator": "1_0.0",
+    "inf": "inf",
+    "overflow": "1e+999",
+}
+
+
+@pytest.mark.parametrize("case", sorted(RAW_EDITS) + ["trailing-comma", "trailing-form-feed"])
+def test_loader_rejects_raw_text_edits_as_json_does(tmp_path, grid64, case):
+    text = _saved_text(tmp_path, density_from_pure(gaussian_pure(grid64, 0.0, 1.0)))
+    if case == "trailing-comma":
+        text = text.replace("]]}", "],]}")
+    elif case == "trailing-form-feed":  # whitespace to str.strip, not to JSON
+        text += "\f"
+    else:
+        head, first, rest = text.partition('"rho": [[')
+        text = head + first + RAW_EDITS[case] + rest[rest.index(","):]
+    path = tmp_path / "edited.json"
+    path.write_text(text)
+    kind, message = _outcome(load_density_matrix, path)
+    assert kind == "DataFormatError"
+    assert (kind, message) == _outcome(_reference_load, path)
+    assert ("finite" if case == "overflow" else "not valid JSON") in message
+
+
+def test_loader_passes_json_loads_only_the_header(tmp_path, monkeypatch, standard_states):
+    state = standard_states["time-jitter"]
+    path = tmp_path / "state.json"
+    save_density_matrix(path, state)
+    header = path.read_text().index('"rho": ') + len('"rho": []}')
+    lengths = []
+    loads = json.loads
+    monkeypatch.setattr(json, "loads", lambda text, **kw: lengths.append(len(text)) or loads(text, **kw))
+    np.testing.assert_array_equal(load_density_matrix(path).rho, state.rho)
+    assert lengths and max(lengths) <= header

@@ -197,6 +197,8 @@ MALFORMED_ROWS = {
     "theta-nan": ("0,0,nan,100,100,60,40", "theta_rad must be 0 or pi/2"),
     "digit-separator": ("1_0,0,0.0,100,100,60,40", "delta_index = '1_0' holds a digit separator"),
     "non-ascii-digit": ("0,0,0.0,\u0661\u0660\u0660,100,60,40", "non-ASCII character"),
+    "counts-A-digit-separator": ("0,0,0.0,100,100,6_0,40", "counts_A = '6_0' holds a digit separator"),
+    "theta-digit-separator": ("0,0,0_0.0,100,100,60,40", "theta_rad = '0_0.0' holds a digit separator"),
 }
 
 
