@@ -107,6 +107,8 @@ def _build_state(args) -> SpectralDensityMatrix:
     if args.kind == "mixture":
         if args.omega0_b is None:
             raise ValueError("mixture requires --omega0-b for the second component")
+        if not math.isfinite(args.omega0_b):
+            raise ValueError(f"--omega0-b must be finite, got {args.omega0_b}")
         if not 0.0 <= args.weight <= 1.0:
             raise ValueError(f"--weight must be in [0, 1], got {args.weight}")
         a = density_from_pure(gaussian_pure(grid, args.omega0, args.sigma))
@@ -229,6 +231,8 @@ def cmd_reconstruct(args) -> int:
     inputs = {"records": args.records}
     if args.truth:
         inputs["truth"] = args.truth
+        # The truth file's grid, not --n/--span/--center, is the one used.
+        params.update(n=grid.n, span=grid.span, center=grid.omega_min + grid.span / 2.0)
     for path in outputs:
         _write_manifest(path, "reconstruct", inputs, outputs, params)
     if args.json:

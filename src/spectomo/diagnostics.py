@@ -41,16 +41,18 @@ def capture():
     """Collect diagnostics emitted inside the block.
 
     Yields a list that is populated (in emission order) when the block
-    exits. Non-diagnostic warnings are recorded by the context manager but
-    not re-raised.
+    exits. Every other warning is re-raised, in order, once the block exits,
+    so the caller's filters (pytest's "error" among them) still apply to it.
     """
     collected: list[Diagnostic] = []
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")
         yield collected
-        for item in caught:
-            if isinstance(item.message, DiagnosticWarning):
-                collected.append(item.message.diagnostic)
+    for item in caught:
+        if isinstance(item.message, DiagnosticWarning):
+            collected.append(item.message.diagnostic)
+        else:
+            warnings.warn_explicit(item.message, item.category, item.filename, item.lineno, source=item.source)
 
 
 def dedupe(diagnostics) -> list[Diagnostic]:

@@ -22,6 +22,7 @@ from __future__ import annotations
 import cmath
 import math
 from dataclasses import dataclass
+from itertools import chain, repeat
 from pathlib import Path
 
 import numpy as np
@@ -508,17 +509,37 @@ def read_records(path, grid: FrequencyGrid) -> ScanTable:
     return ScanTable._trusted([np.ascontiguousarray(cols[name]) for name in _COLUMNS])
 
 
-def p_delta_rows(records, grid: FrequencyGrid) -> list[tuple]:
-    """Plot-ready (delta_index, tau_index, tau, theta, p_delta, stderr) rows."""
+def p_delta_rows(records, grid: FrequencyGrid) -> tuple[np.ndarray, ...]:
+    """Plot-ready columns (delta_index, tau_index, tau, theta, p_delta, stderr),
+    one entry per pooled (delta, tau, theta) cell."""
     cells = pool_records(records)
     p_delta_hat, stderr = estimate_p_delta(cells)
-    columns = (cells.delta_index, cells.tau_index, cells.tau_index * grid.d_tau, cells.theta, p_delta_hat, stderr)
-    return list(zip(*(col.tolist() for col in columns)))
+    return cells.delta_index, cells.tau_index, cells.tau_index * grid.d_tau, cells.theta, p_delta_hat, stderr
+
+
+_P_DELTA_BLOCK = 1 << 16  # rows per write: the text in memory stays a few MB
 
 
 def write_p_delta_table(path, records, grid: FrequencyGrid) -> None:
-    lines = [P_DELTA_HEADER] + [
-        f"{delta_index},{tau_index},{tau!r},{theta!r},{p_delta_hat!r},{stderr!r}"
-        for delta_index, tau_index, tau, theta, p_delta_hat, stderr in p_delta_rows(records, grid)
-    ]
-    Path(path).write_text("\n".join(lines) + "\n", newline="\n")
+    """CSV of `p_delta_rows`: indices as integers, floats as shortest round-trip decimals.
+
+    Only n delays and 2 phases occur, so their text comes from per-index
+    tables; each block of rows is joined in C from per-column pieces.
+    """
+    delta_index, tau_index, _, theta, p_delta_hat, stderr = p_delta_rows(records, grid)
+    taus = np.arange(int(tau_index.max(initial=-1)) + 1) * grid.d_tau
+    tau_text = [f",{k},{tau!r}," for k, tau in enumerate(taus.tolist())]
+    theta_text = {phase: f"{phase!r}," for phase in THETAS}
+    comma, newline = repeat(","), repeat("\n")
+    with open(path, "w", newline="\n") as f:
+        f.write(P_DELTA_HEADER + "\n")
+        for start in range(0, len(delta_index), _P_DELTA_BLOCK):
+            rows = slice(start, start + _P_DELTA_BLOCK)
+            cells = zip(
+                map(int.__repr__, delta_index[rows].tolist()),
+                map(tau_text.__getitem__, tau_index[rows].tolist()),
+                map(theta_text.__getitem__, theta[rows].tolist()),
+                map(float.__repr__, p_delta_hat[rows].tolist()), comma,
+                map(float.__repr__, stderr[rows].tolist()), newline,
+            )
+            f.write("".join(chain.from_iterable(cells)))

@@ -2,12 +2,13 @@
 
 The balanced setting (tau=0, delta=0) has G = 1, so its two phase rows read
 the mode overlap directly: gamma_hat = P_delta(theta=0) - i*P_delta(theta=pi/2).
-For each frequency shift, the theta=0 and theta=pi/2 scans over the delay grid
-give Re and -Im of gamma * G_delta(tau); dividing by gamma_hat and inverting
-the Fourier transform (an IFFT plus the explicit phase ramp from omega_min)
-recovers one kernel band. Bands assemble into the lower triangle and the upper
-follows from Hermitian symmetry. The noisy estimate is then made physical by
-replacing it with the nearest unit-trace PSD matrix in Hilbert-Schmidt norm.
+For all frequency shifts at once, the theta=0 and theta=pi/2 scans over the
+delay grid give Re and -Im of gamma * G_delta(tau), one row per shift; dividing
+by gamma_hat and one inverse FFT along the delay axis (plus the explicit phase
+ramp from omega_min) recover every kernel band. Bands assemble into the lower
+triangle and the upper follows from Hermitian symmetry. The noisy estimate is
+then made physical by replacing it with the nearest unit-trace PSD matrix in
+Hilbert-Schmidt norm.
 """
 
 from __future__ import annotations
@@ -41,17 +42,20 @@ MIN_VISIBILITY = 0.05
 
 @dataclass(frozen=True)
 class CrossSectionEstimate:
-    """Measured G_delta samples on the delay grid, with per-point errors."""
+    """Measured G_delta samples and per-point errors, (bands, n) arrays whose
+    row k belongs to band `delta_indices[k]` (1-D int64)."""
 
-    delta_index: int
+    delta_indices: np.ndarray
     g_of_tau: np.ndarray
     stderr_per_point: np.ndarray
 
     def __post_init__(self):
+        m = np.asarray(self.delta_indices, dtype=np.int64)
         g = np.asarray(self.g_of_tau, dtype=np.complex128)
         se = np.asarray(self.stderr_per_point, dtype=np.float64)
-        if g.shape != se.shape or g.ndim != 1:
-            raise ValueError("g_of_tau and stderr_per_point must be 1-D and equal length")
+        if m.ndim != 1 or g.ndim != 2 or g.shape != se.shape or g.shape[0] != len(m):
+            raise ValueError("g_of_tau and stderr_per_point must be (len(delta_indices), n) arrays")
+        object.__setattr__(self, "delta_indices", m)
         object.__setattr__(self, "g_of_tau", g)
         object.__setattr__(self, "stderr_per_point", se)
 
@@ -119,14 +123,16 @@ def estimate_cross_section(
     *,
     min_visibility: float = MIN_VISIBILITY,
 ) -> CrossSectionEstimate:
-    """Per-delta cross-section from the two phase rows at every delay.
+    """Cross-sections of every band in `records` from the two phase rows at every delay.
 
     G_hat(tau_k) = [p_delta(theta=0) - i * p_delta(theta=pi/2)] / gamma_hat;
     the theta=0 row measures Re[gamma G], the theta=pi/2 row -Im[gamma G].
     Errors propagate linearly, including the 1/|gamma_hat| amplification.
-    `records` is a ScanTable or a list of records of one delta_index; a row
-    with delta or tau index off the n-grid, or a `min_visibility` outside
-    (0, 1], raises ValueError.
+    `records` is a ScanTable or a list of records holding any set of bands;
+    each band present must have all 2n (tau, theta) cells, else
+    MissingSettingsError lists every missing cell of every band. A row with
+    delta or tau index off the n-grid, or a `min_visibility` outside (0, 1],
+    raises ValueError. Bands absent altogether are not checked here.
     """
     if not 0.0 < min_visibility <= 1.0:
         raise ValueError(f"min_visibility must be in (0, 1], got {min_visibility}")
@@ -143,36 +149,34 @@ def estimate_cross_section(
             f"row {row} (delta_index={table.delta_index[row]}, tau_index={table.tau_index[row]}) "
             f"lies off the n={grid.n} grid"
         )
-    deltas = np.unique(table.delta_index).tolist()
-    if len(deltas) != 1:
-        raise ValueError(f"records must cover exactly one delta_index, got {deltas}")
-    delta_index = deltas[0]
     cells = as_table(pool_records(table))
-    present = np.zeros((grid.n, len(THETAS)), dtype=bool)
-    present[cells.tau_index, cells.theta_slot] = True
+    deltas, band = np.unique(cells.delta_index, return_inverse=True)
+    present = np.zeros((len(deltas), grid.n, len(THETAS)), dtype=bool)
+    present[band, cells.tau_index, cells.theta_slot] = True
     if not present.all():
         raise MissingSettingsError(
-            [(delta_index, tau_index, THETAS[slot]) for tau_index, slot in np.argwhere(~present).tolist()]
+            [(int(deltas[k]), tau_index, THETAS[slot]) for k, tau_index, slot in np.argwhere(~present).tolist()]
         )
-    # One row per (tau, theta) cell, sorted: theta=0 rows even, theta=pi/2 odd.
-    p_delta, stderr = estimate_p_delta(cells)
-    g = _divide(p_delta[0::2], -p_delta[1::2], complex(gamma_hat))
-    se = np.hypot(stderr[0::2], stderr[1::2]) / abs(gamma_hat)
-    return CrossSectionEstimate(delta_index, g, se)
+    # One row per (delta, tau, theta) cell, sorted: a (bands, n, 2) block.
+    p_delta, stderr = (a.reshape(present.shape) for a in estimate_p_delta(cells))
+    g = _divide(p_delta[..., 0], -p_delta[..., 1], complex(gamma_hat))
+    se = np.hypot(stderr[..., 0], stderr[..., 1]) / abs(gamma_hat)
+    return CrossSectionEstimate(deltas, g, se)
 
 
 def invert_cross_section(estimate: CrossSectionEstimate, grid: FrequencyGrid) -> np.ndarray:
-    """Solve G(tau_j) = sum_i exp(-i*tau_j*omega_i) g(omega_i) d_omega for g.
+    """Solve G(tau_j) = sum_i exp(-i*tau_j*omega_i) g(omega_i) d_omega for g, band by row.
 
     The forward map is the phase ramp exp(-i*tau*omega_min) times a forward
     FFT times d_omega, so the inverse is exact: round trips with the forward
-    transform are identities up to float rounding.
+    transform are identities up to float rounding. One inverse FFT along the
+    delay axis gives a (bands, n) array, row k band `estimate.delta_indices[k]`.
     """
-    if estimate.g_of_tau.shape != (grid.n,):
+    if estimate.g_of_tau.shape[1] != grid.n:
         raise ValueError(
-            f"cross-section length {estimate.g_of_tau.shape} does not match n={grid.n}"
+            f"cross-section length {estimate.g_of_tau.shape[1]} does not match n={grid.n}"
         )
-    return np.fft.ifft(estimate.g_of_tau * np.exp(1j * grid.taus * grid.omega_min)) / grid.d_omega
+    return np.fft.ifft(estimate.g_of_tau * np.exp(1j * grid.taus * grid.omega_min), axis=-1) / grid.d_omega
 
 
 def assemble(bands: dict[int, np.ndarray], grid: FrequencyGrid) -> np.ndarray:
@@ -250,31 +254,24 @@ def reconstruct_records(
     *,
     min_visibility: float = MIN_VISIBILITY,
 ) -> ReconstructionResult:
-    """Full pipeline: calibrate, estimate, invert, assemble, project.
+    """Full pipeline, one pass over one pooled table: calibrate, then estimate,
+    invert and assemble every band at once, then project.
 
     Per-delta residuals compare the measured cross-sections against the
     forward transform of the projected estimate (RMS over the delay grid).
-    Diagnostics emitted anywhere in the pipeline are collected on the result.
+    Diagnostics emitted anywhere in the pipeline are collected on the result;
+    other warnings pass on to the caller.
     """
     with diagnostics.capture() as caught:
         cells = as_table(pool_records(records))
         gamma_hat = calibrate_gamma(cells)
-        # Pooled rows are sorted by delta_index: each band is one slice.
-        deltas, starts = np.unique(cells.delta_index, return_index=True)
-        stops = starts[1:].tolist() + [len(cells)]
-        estimates = {
-            m: estimate_cross_section(
-                cells[start:stop], gamma_hat, grid, min_visibility=min_visibility
-            )
-            for m, start, stop in zip(deltas.tolist(), starts.tolist(), stops)
-        }
-        bands = {m: invert_cross_section(est, grid) for m, est in estimates.items()}
-        rho_raw = assemble(bands, grid)
+        estimate = estimate_cross_section(cells, gamma_hat, grid, min_visibility=min_visibility)
+        deltas = estimate.delta_indices.tolist()
+        rho_raw = assemble(dict(zip(deltas, invert_cross_section(estimate, grid))), grid)
         rho_hat, min_eig = project_physical(rho_raw, grid)
         residuals = []
-        for m in sorted(estimates):
-            forward = cross_section_transform(rho_hat, m)
-            diff = estimates[m].g_of_tau - forward
+        for m, measured in zip(deltas, estimate.g_of_tau):
+            diff = measured - cross_section_transform(rho_hat, m)
             residuals.append(math.sqrt(float(np.vdot(diff, diff).real) / grid.n))
     return ReconstructionResult(
         rho_hat=rho_hat,

@@ -383,10 +383,13 @@ def test_gen_state_rejects_nan_center(tmp_path, capsys):
         ("time-jitter", "--jitter", "inf", "jitter_std must be nonnegative and finite, got inf"),
         ("freq-jitter", "--jitter", "nan", "jitter_std must be nonnegative and finite, got nan"),
         ("freq-jitter", "--jitter", "inf", "jitter_std must be nonnegative and finite, got inf"),
+        ("mixture", "--omega0-b", "inf", "--omega0-b must be finite, got inf"),
+        ("mixture", "--omega0-b", "nan", "--omega0-b must be finite, got nan"),
     ],
     ids=[
         "gaussian-omega0-nan", "gaussian-sigma-inf", "chirped-chirp-nan", "chirped-chirp-inf",
         "time-jitter-nan", "time-jitter-inf", "freq-jitter-nan", "freq-jitter-inf",
+        "mixture-omega0-b-inf", "mixture-omega0-b-nan",
     ],
 )
 def test_gen_state_rejects_non_finite_shape(tmp_path, capsys, kind, flag, value, message):
@@ -431,6 +434,19 @@ def test_manifest_written_for_every_output(tmp_path):
         assert manifest_path.exists(), produced
         manifest = json.loads(manifest_path.read_text())
         assert str(produced) in manifest["outputs"]
+
+
+def test_manifest_records_the_grid_of_the_truth_file(tmp_path):
+    state = _gen(tmp_path, extra=["--n", "32", "--span", "12", "--center", "0.5"])
+    csv = tmp_path / "records.csv"
+    assert main(["simulate", str(state), "--out", str(csv), "--exact"]) == 0
+    out = tmp_path / "rho.json"
+    # --n, --span and --center keep their defaults (64, 16, 0); the truth sets the grid.
+    assert main(["reconstruct", str(csv), "--out", str(out), "--truth", str(state)]) == 0
+    params = json.loads((tmp_path / "rho.json.manifest.json").read_text())["parameters"]
+    assert params["n"] == 32
+    assert params["span"] == pytest.approx(12.0, abs=1e-12)
+    assert params["center"] == pytest.approx(0.5, abs=1e-12)
 
 
 def test_module_entry_point(tmp_path):

@@ -22,7 +22,8 @@ from spectomo import (
     write_records,
 )
 from spectomo.diagnostics import capture
-from spectomo.measurement import THETAS, p_delta_rows
+from spectomo import measurement
+from spectomo.measurement import P_DELTA_HEADER, THETAS, p_delta_rows, write_p_delta_table
 
 IDEAL = InterferometerConfig()
 
@@ -321,10 +322,36 @@ def test_p_delta_rows_exact_values():
     rho = _state(g)
     plan = plan_scan(g, 0, shots=1000, seed=0)
     records = simulate_counts(rho, plan, IDEAL, exact=True)
-    rows = p_delta_rows(records, g)
+    columns = p_delta_rows(records, g)
+    assert all(isinstance(col, np.ndarray) and len(col) == 2 * 16 for col in columns)
     g0 = cross_section_transform(rho, 0)
-    for delta_index, tau_index, tau, theta, p_delta, _ in rows:
+    for delta_index, tau_index, tau, theta, p_delta, _ in zip(*(col.tolist() for col in columns)):
         assert delta_index == 0
         assert tau == pytest.approx(tau_index * g.d_tau)
         expected = (np.exp(1j * theta) * g0[tau_index]).real
         assert p_delta == pytest.approx(expected, abs=1e-12)
+
+
+@pytest.mark.parametrize("exact", [False, True])
+def test_p_delta_table_is_one_repr_line_per_cell(tmp_path, monkeypatch, exact):
+    # Reference: one f-string of the row's Python values per line. A block size
+    # of 7 rows makes the writer cross block boundaries mid-band.
+    g = make_grid(0.0, 16.0, 16)
+    plan = plan_scan(g, 3, shots=50, seed=11)
+    records = simulate_counts(_state(g), plan, InterferometerConfig(gamma=0.7), exact=exact)
+    monkeypatch.setattr(measurement, "_P_DELTA_BLOCK", 7)
+    path = tmp_path / "p_delta.csv"
+    write_p_delta_table(path, records, g)
+    rows = zip(*(col.tolist() for col in p_delta_rows(records, g)))
+    expected = [P_DELTA_HEADER] + [
+        f"{delta},{k},{tau!r},{theta!r},{p!r},{se!r}" for delta, k, tau, theta, p, se in rows
+    ]
+    assert path.read_bytes() == ("\n".join(expected) + "\n").encode()
+    assert len(expected) == 1 + 2 * 16 * 4
+
+
+def test_p_delta_table_of_no_rows_is_the_header(tmp_path):
+    g = make_grid(0.0, 16.0, 16)
+    path = tmp_path / "p_delta.csv"
+    write_p_delta_table(path, ScanTable([], [], [], [], [], [], [], []), g)
+    assert path.read_text() == P_DELTA_HEADER + "\n"

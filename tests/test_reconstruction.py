@@ -1,6 +1,7 @@
 import cmath
 import math
 import warnings
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -32,6 +33,7 @@ from spectomo import (
     simulate_counts,
     time_jitter_state,
 )
+from spectomo import reconstruction
 from conftest import exact_records
 
 IDEAL = InterferometerConfig()
@@ -99,12 +101,12 @@ def test_cross_section_estimate_matches_forward(grid64, standard_states):
         group = [r for r in records if r.setting.delta_index == m]
         est = estimate_cross_section(group, 1.0 + 0.0j, grid64)
         np.testing.assert_allclose(
-            est.g_of_tau, cross_section_transform(rho, m), atol=1e-12
+            est.g_of_tau[0], cross_section_transform(rho, m), atol=1e-12
         )
     est0 = estimate_cross_section(
         [r for r in records if r.setting.delta_index == 0], 1.0 + 0.0j, grid64
     )
-    assert est0.g_of_tau[0] == pytest.approx(1.0, abs=1e-12)
+    assert est0.g_of_tau[0, 0] == pytest.approx(1.0, abs=1e-12)
 
 
 def test_cross_section_estimate_gamma_invariance(grid64):
@@ -117,7 +119,7 @@ def test_cross_section_estimate_gamma_invariance(grid64):
         records = exact_records(rho, config, max_delta_index=2)
         gamma_hat = calibrate_gamma(records)
         group = [r for r in records if r.setting.delta_index == 2]
-        out[gamma] = estimate_cross_section(group, gamma_hat, grid64).g_of_tau
+        out[gamma] = estimate_cross_section(group, gamma_hat, grid64).g_of_tau[0]
     np.testing.assert_allclose(out[1.0], out[0.5], atol=1e-12)
 
 
@@ -132,6 +134,26 @@ def test_cross_section_estimate_missing_theta_rows(grid64):
     with pytest.raises(MissingSettingsError) as excinfo:
         estimate_cross_section(group, 1.0 + 0.0j, grid64)
     assert (0, 5, math.pi / 2) in excinfo.value.missing
+
+
+def test_cross_section_estimate_covers_every_band_at_once(grid64, standard_states):
+    rho = standard_states["two-gaussian-mixture"]
+    records = exact_records(rho, max_delta_index=3)
+    est = estimate_cross_section(records, 1.0 + 0.0j, grid64)
+    assert est.delta_indices.tolist() == [0, 1, 2, 3]
+    assert est.g_of_tau.shape == est.stderr_per_point.shape == (4, grid64.n)
+    for m in range(4):
+        np.testing.assert_allclose(est.g_of_tau[m], cross_section_transform(rho, m), atol=1e-12)
+
+
+def test_missing_cells_of_every_band_in_one_error(grid64, standard_states):
+    table = exact_records(standard_states["pure-gaussian"], max_delta_index=3)
+    dropped = ((table.delta_index == 1) & (table.tau_index == 5) & (table.theta_slot == 1)) | (
+        (table.delta_index == 3) & (table.tau_index == 9) & (table.theta_slot == 0)
+    )
+    with pytest.raises(MissingSettingsError) as excinfo:
+        reconstruct_records(table[~dropped], grid64)
+    assert excinfo.value.missing == [(1, 5, math.pi / 2), (3, 9, 0.0)]
 
 
 @pytest.mark.parametrize("delta_index, tau_index", [(0, 16), (16, 0)])
@@ -165,8 +187,8 @@ def test_invert_is_exact_inverse(grid64, standard_states):
         grid = state.grid
         for m in (0, 1, 5):
             g = cross_section_transform(state, m)
-            est = CrossSectionEstimate(m, g, np.zeros(grid.n))
-            band = invert_cross_section(est, grid)
+            est = CrossSectionEstimate([m], [g], np.zeros((1, grid.n)))
+            (band,) = invert_cross_section(est, grid)
             expected = np.zeros(grid.n, dtype=complex)
             expected[m:] = np.diagonal(state.rho, -m)
             np.testing.assert_allclose(band, expected, atol=1e-12)
@@ -177,8 +199,8 @@ def test_invert_constant_is_discrete_delta():
     g = make_grid(0.0, 16.0, 17)  # odd count => omega=0 is exactly on the grid
     zero_bin = 8
     assert g.omegas[zero_bin] == pytest.approx(0.0, abs=1e-12)
-    est = CrossSectionEstimate(0, np.ones(g.n, dtype=complex), np.zeros(g.n))
-    band = invert_cross_section(est, g)
+    est = CrossSectionEstimate([0], np.ones((1, g.n), dtype=complex), np.zeros((1, g.n)))
+    (band,) = invert_cross_section(est, g)
     expected = np.zeros(g.n)
     expected[zero_bin] = 1.0 / g.d_omega
     np.testing.assert_allclose(band, expected, atol=1e-10)
@@ -194,15 +216,15 @@ def test_invert_noise_propagation():
     samples = []
     for _ in range(400):
         noise = (rng.normal(size=g.n) + 1j * rng.normal(size=g.n)) * (s / math.sqrt(2))
-        est = CrossSectionEstimate(0, est_clean + noise, np.zeros(g.n))
-        samples.append(invert_cross_section(est, g))
+        est = CrossSectionEstimate([0], [est_clean + noise], np.zeros((1, g.n)))
+        samples.append(invert_cross_section(est, g)[0])
     per_point_std = np.sqrt(np.mean(np.abs(np.array(samples)) ** 2, axis=0))
     predicted = s / (math.sqrt(g.n) * g.d_omega)
     np.testing.assert_allclose(per_point_std, predicted, rtol=0.15)
 
 
 def test_invert_length_mismatch(grid64):
-    est = CrossSectionEstimate(0, np.ones(10, dtype=complex), np.zeros(10))
+    est = CrossSectionEstimate([0], np.ones((1, 10), dtype=complex), np.zeros((1, 10)))
     with pytest.raises(ValueError):
         invert_cross_section(est, grid64)
 
@@ -216,7 +238,7 @@ def test_assemble_round_trip(grid64, standard_states):
     bands = {}
     for m in range(grid64.n):
         g = cross_section_transform(rho, m)
-        bands[m] = invert_cross_section(CrossSectionEstimate(m, g, np.zeros(grid64.n)), grid64)
+        (bands[m],) = invert_cross_section(CrossSectionEstimate([m], [g], np.zeros((1, grid64.n))), grid64)
     raw = assemble(bands, grid64)
     assert np.max(np.abs(raw - raw.conj().T)) == 0.0
     assert hs_distance(raw, rho.rho, grid64) < 1e-10
@@ -227,7 +249,7 @@ def test_assemble_delta_zero_only_is_diagonal(grid64, standard_states):
 
     rho = standard_states["chirped-gaussian"]
     g = cross_section_transform(rho, 0)
-    band = invert_cross_section(CrossSectionEstimate(0, g, np.zeros(grid64.n)), grid64)
+    (band,) = invert_cross_section(CrossSectionEstimate([0], [g], np.zeros((1, grid64.n))), grid64)
     with pytest.warns(DiagnosticWarning, match="bandwidth-truncation"):
         raw = assemble({0: band}, grid64)
     off_diagonal = raw - np.diag(raw.diagonal())
@@ -412,6 +434,40 @@ def test_noise_scaling_with_shots():
         medians[shots] = float(np.median(errs))
     ratio = medians[1000] / medians[100000]
     assert 4.0 < ratio < 25.0  # 1/sqrt(shots) predicts 10
+
+
+def test_one_pass_over_every_band(monkeypatch, standard_states):
+    rho = standard_states["time-jitter"]
+    calls = Counter()
+
+    def counted(name, fn):
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return fn(*args, **kwargs)
+
+        return wrapper
+
+    for name in ("pool_records", "estimate_cross_section", "invert_cross_section"):
+        monkeypatch.setattr(reconstruction, name, counted(name, getattr(reconstruction, name)))
+    monkeypatch.setattr(np.fft, "ifft", counted("ifft", np.fft.ifft))
+    result = reconstruct_records(exact_records(rho), rho.grid)
+    assert len(result.residuals) == rho.grid.n
+    assert calls["pool_records"] <= 3
+    assert calls["estimate_cross_section"] == calls["invert_cross_section"] == calls["ifft"] == 1
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_runtime_warning_in_the_pipeline_reaches_the_caller(monkeypatch, standard_states):
+    rho = standard_states["pure-gaussian"]
+    project = reconstruction.project_physical
+
+    def dividing_by_zero(rho_raw, grid):
+        np.float64(1.0) / np.float64(0.0)
+        return project(rho_raw, grid)
+
+    monkeypatch.setattr(reconstruction, "project_physical", dividing_by_zero)
+    with pytest.raises(RuntimeWarning, match="divide by zero"):
+        reconstruct_records(exact_records(rho, max_delta_index=2), rho.grid)
 
 
 def test_reconstruction_result_warnings_collected(standard_states):
