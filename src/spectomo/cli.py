@@ -167,6 +167,8 @@ def cmd_simulate(args) -> int:
         write_p_delta_table(table, records, grid)
         outputs.append(table)
     params = _params(args)
+    # The values the scan used, not argparse's None for "derive it".
+    params.update(max_delta_index=max_delta_index, max_delta=advisory)
     for path in outputs:
         _write_manifest(path, "simulate", {"state": args.state}, outputs, params)
     if args.json:

@@ -611,7 +611,10 @@ def load_density_matrix(path) -> SpectralDensityMatrix:
     its `rho` list (see `_canonical_document`); any other text is read by
     `json.loads`. Both give bit-identical kernels and the same errors.
     """
-    text = Path(path).read_text()
+    try:
+        text = Path(path).read_text()
+    except UnicodeDecodeError as exc:
+        raise DataFormatError(f"{path}: not {exc.encoding} text ({exc.reason})") from exc
     doc = _canonical_document(text)
     if doc is None:
         try:

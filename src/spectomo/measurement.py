@@ -15,15 +15,19 @@ discretization error from shot noise in round-trip checks.
 
 Scan data moves as one `ScanTable`: a column per record field, validated
 once on construction. Iterating it yields `MeasurementRecord` rows.
+
+The record CSV is written and parsed in blocks of _BLOCK_ROWS rows, so the
+text in memory is one block's and a scan's memory is bounded by its table,
+not by the file. Line numbers in read errors count lines of the whole file.
 """
 
 from __future__ import annotations
 
+import bisect
 import cmath
 import math
 from dataclasses import dataclass
 from itertools import chain, repeat
-from pathlib import Path
 
 import numpy as np
 
@@ -334,6 +338,7 @@ def simulate_counts(state, plan: ScanPlan, config: InterferometerConfig, *, exac
     c = [complex(config.gamma) * cmath.exp(1j * theta) for theta in THETAS]
     c_re, c_im = np.array([z.real for z in c])[slot], np.array([z.imag for z in c])[slot]
     p_a = np.clip(0.5 + 0.5 * (c_re * g.real - c_im * g.imag), 0.0, 1.0)
+    del g, c_re, c_im  # freed before the table's checks, which set the peak
 
     shots = plan.shots_per_setting
     attempted = np.full(len(p_a), shots, dtype=np.int64)
@@ -351,9 +356,10 @@ def simulate_counts(state, plan: ScanPlan, config: InterferometerConfig, *, exac
             post[rows] = rng.binomial(shots, config.post_selection_rate, size=rows.stop - rows.start)
             counts_a[rows] = rng.binomial(post[rows], p_a[rows])
         counts_b = post - counts_a
-    return ScanTable(
-        delta_index, tau_index, slot, tau_index * plan.grid.d_tau, attempted, post, counts_a, counts_b
-    )
+    del p_a
+    # Fresh arrays of the table's dtypes: checked, then kept without a copy.
+    columns = (delta_index, tau_index, slot, tau_index * plan.grid.d_tau, attempted, post, counts_a, counts_b)
+    return ScanTable._trusted(_checked(dict(zip(_COLUMNS, columns))))
 
 
 def estimate_p_delta(rows):
@@ -404,6 +410,10 @@ def pool_records(records) -> ScanTable:
 # Record file format (CSV, also the import path for real laboratory data)
 # ---------------------------------------------------------------------------
 
+# Rows per block of CSV text written or parsed: a block's text stays near
+# 1 MB, so memory follows the table, not its text.
+_BLOCK_ROWS = 1 << 14
+
 # CSV fields and the Python type each parses as (`int("1.0")` is an error);
 # messages name a field as the file's header does.
 _CSV_FIELDS = (
@@ -421,22 +431,29 @@ def _format_counts(col: np.ndarray) -> list:
 
 
 def write_records(path, records) -> None:
-    """CSV of a ScanTable or a list of records, one line per row."""
+    """CSV of a ScanTable or a list of records, one line per row.
+
+    Rows are formatted and written _BLOCK_ROWS at a time, so the text in
+    memory is one block's, whatever the table's length.
+    """
     table = as_table(records)
     theta_text = [repr(theta) for theta in THETAS]
-    lines = [
-        f"{d},{k},{theta},{shots},{post},{a},{b}"
-        for d, k, theta, shots, post, a, b in zip(
-            table.delta_index.tolist(),
-            table.tau_index.tolist(),
-            map(theta_text.__getitem__, table.theta_slot.tolist()),
-            table.shots_attempted.tolist(),
-            _format_counts(table.shots_postselected),
-            _format_counts(table.counts_a),
-            _format_counts(table.counts_b),
-        )
-    ]
-    Path(path).write_text("\n".join([RECORD_HEADER] + lines) + "\n", newline="\n")
+    with open(path, "w", newline="\n") as f:
+        f.write(RECORD_HEADER + "\n")
+        for start in range(0, len(table), _BLOCK_ROWS):
+            block = table[start:start + _BLOCK_ROWS]
+            f.write("".join([
+                f"{d},{k},{theta},{shots},{post},{a},{b}\n"
+                for d, k, theta, shots, post, a, b in zip(
+                    block.delta_index.tolist(),
+                    block.tau_index.tolist(),
+                    map(theta_text.__getitem__, block.theta_slot.tolist()),
+                    block.shots_attempted.tolist(),
+                    _format_counts(block.shots_postselected),
+                    _format_counts(block.counts_a),
+                    _format_counts(block.counts_b),
+                )
+            ]))
 
 
 def _integral(col: np.ndarray) -> np.ndarray:
@@ -465,35 +482,90 @@ def _field_error(path, lines, linenos) -> str | None:
     return None
 
 
+def _line_blocks(f, rows: int):
+    """The lines of text file `f` as `str.splitlines` splits its whole text,
+    in lists of `rows` lines (the last may differ).
+
+    Text is read in pieces of 64 Ki characters and split just after each
+    piece's last newline; a newline always ends a line, so splitting piece by
+    piece cuts the text where splitting all of it would.
+    """
+    lines, rest = [], ""
+    while chunk := f.read(1 << 16):
+        rest += chunk
+        cut = rest.rfind("\n") + 1
+        lines += rest[:cut].splitlines()
+        rest = rest[cut:]
+        while len(lines) >= rows:
+            yield lines[:rows]
+            del lines[:rows]
+    lines += rest.splitlines()
+    if lines:
+        yield lines
+
+
+def _parse_block(path, lines, first: int):
+    """(line numbers, column arrays in _CSV_DTYPE order) of the non-blank
+    `lines`, which start at line `first` of the file; None if all are blank."""
+    body, linenos = lines, range(first, first + len(lines))
+    if not all(map(str.strip, body)):
+        linenos = [i for i, line in enumerate(lines, start=first) if line.strip()]
+        body = [lines[i - first] for i in linenos]
+    if not body:
+        return None
+    try:
+        # Sized once by max_rows: grown row by row, the array's
+        # reallocations would set the block's peak.
+        data = np.loadtxt(body, delimiter=",", dtype=_CSV_DTYPE, comments=None, ndmin=1, max_rows=len(body))
+    except ValueError as exc:
+        raise DataFormatError(_field_error(path, body, linenos) or f"{path}: {exc}") from exc
+    if not isinstance(linenos, range):
+        linenos = np.array(linenos)
+    return linenos, [np.ascontiguousarray(data[name]) for name in _CSV_DTYPE.names]
+
+
 def read_records(path, grid: FrequencyGrid) -> ScanTable:
     """Parse a record CSV into a ScanTable, one row per non-blank line.
 
-    Any malformed line raises DataFormatError naming its line number:
-    wrong field count, unparsable or non-integer index, out-of-range index,
-    a theta that is not 0 or pi/2, or counts that break the record
-    invariants.
+    Any malformed line raises DataFormatError naming its line number in the
+    file: wrong field count, unparsable or non-integer index, out-of-range
+    index, a theta that is not 0 or pi/2, or counts that break the record
+    invariants. Text that does not decode raises DataFormatError too.
+
+    The file is read and parsed _BLOCK_ROWS lines at a time, each block's
+    fields kept as per-column arrays and its text freed before the next is
+    read, so memory follows the table, not the text. Line numbers count
+    across blocks. The record checks run once on the whole table, and a
+    count column is int64 only if every entry of it in the file is a whole
+    number.
     """
-    lines = Path(path).read_text().splitlines()
-    if not lines or lines[0].strip() != RECORD_HEADER:
-        raise DataFormatError(f"{path}: expected header {RECORD_HEADER!r}")
-    body = lines[1:]
-    linenos = range(2, len(lines) + 1)
-    if any(not line.strip() for line in body):
-        linenos = [i for i, line in enumerate(body, start=2) if line.strip()]
-        body = [lines[i - 1] for i in linenos]
-    if body:
-        try:
-            # Sized once by max_rows: grown block by block, the array's
-            # reallocations set the peak RSS of reading a large file.
-            data = np.loadtxt(
-                body, delimiter=",", dtype=_CSV_DTYPE, comments=None, ndmin=1, max_rows=len(body)
-            )
-        except ValueError as exc:
-            raise DataFormatError(_field_error(path, body, linenos) or f"{path}: {exc}") from exc
-    else:
-        data = np.zeros(0, dtype=_CSV_DTYPE)
-    del lines, body  # only a parse error needs the text; free it before the checks
-    cols = {name: data[name] for name in _CSV_DTYPE.names}
+    names = _CSV_DTYPE.names
+    pieces = {name: [np.zeros(0, dtype=_CSV_DTYPE[name])] for name in names}
+    spans = []  # (first row, line numbers of its rows) of each parsed block
+    rows = lineno = 0  # rows parsed and lines read so far
+    try:
+        with open(path) as f:
+            blocks = _line_blocks(f, _BLOCK_ROWS)
+            lines = next(blocks, [""])
+            if lines[0].strip() != RECORD_HEADER:
+                raise DataFormatError(f"{path}: expected header {RECORD_HEADER!r}")
+            lines[0] = ""  # skipped, as a blank line is
+            while lines:
+                block = _parse_block(path, lines, lineno + 1)
+                lineno += len(lines)
+                del lines  # free this block's text before reading the next
+                if block is not None:
+                    spans.append((rows, block[0]))
+                    rows += len(block[0])
+                    for name, col in zip(names, block[1]):
+                        pieces[name].append(col)
+                lines = next(blocks, [])
+    except UnicodeDecodeError as exc:
+        raise DataFormatError(f"{path}: not {exc.encoding} text ({exc.reason})") from exc
+    del block  # it holds the last block's pieces, which the joins below free
+    cols = {}
+    for name in names:  # each column joined once, its blocks freed before the next
+        cols[name] = np.concatenate(pieces.pop(name))
     for name in ("shots_postselected", "counts_a", "counts_b"):
         cols[name] = _integral(cols[name])
     cols["tau"] = cols["tau_index"] * grid.d_tau
@@ -505,8 +577,9 @@ def read_records(path, grid: FrequencyGrid) -> ScanTable:
         cols, [(out_of_range, lambda r: f"indices out of range for an n={n} grid")], phase
     )
     if bad is not None:
-        raise DataFormatError(f"{path}:{linenos[bad[0]]}: {bad[1]}")
-    return ScanTable._trusted([np.ascontiguousarray(cols[name]) for name in _COLUMNS])
+        first_row, linenos = spans[bisect.bisect_right([row for row, _ in spans], bad[0]) - 1]
+        raise DataFormatError(f"{path}:{linenos[bad[0] - first_row]}: {bad[1]}")
+    return ScanTable._trusted([cols[name] for name in _COLUMNS])
 
 
 def p_delta_rows(records, grid: FrequencyGrid) -> tuple[np.ndarray, ...]:
@@ -515,9 +588,6 @@ def p_delta_rows(records, grid: FrequencyGrid) -> tuple[np.ndarray, ...]:
     cells = pool_records(records)
     p_delta_hat, stderr = estimate_p_delta(cells)
     return cells.delta_index, cells.tau_index, cells.tau_index * grid.d_tau, cells.theta, p_delta_hat, stderr
-
-
-_P_DELTA_BLOCK = 1 << 16  # rows per write: the text in memory stays a few MB
 
 
 def write_p_delta_table(path, records, grid: FrequencyGrid) -> None:
@@ -533,8 +603,8 @@ def write_p_delta_table(path, records, grid: FrequencyGrid) -> None:
     comma, newline = repeat(","), repeat("\n")
     with open(path, "w", newline="\n") as f:
         f.write(P_DELTA_HEADER + "\n")
-        for start in range(0, len(delta_index), _P_DELTA_BLOCK):
-            rows = slice(start, start + _P_DELTA_BLOCK)
+        for start in range(0, len(delta_index), _BLOCK_ROWS):
+            rows = slice(start, start + _BLOCK_ROWS)
             cells = zip(
                 map(int.__repr__, delta_index[rows].tolist()),
                 map(tau_text.__getitem__, tau_index[rows].tolist()),

@@ -325,6 +325,31 @@ def test_reconstruct_malformed_csv(tmp_path):
     assert main(["reconstruct", str(bad), "--out", str(tmp_path / "x.json")]) == 3
 
 
+def _with_byte_ff(path: Path, offset: int) -> None:
+    data = path.read_bytes()
+    path.write_bytes(data[:offset] + b"\xff" + data[offset + 1:])
+
+
+def test_reconstruct_non_utf8_csv_is_a_data_error(tmp_path, capsys):
+    state = _gen(tmp_path, extra=["--n", "16"])
+    csv = tmp_path / "records.csv"
+    assert main(["simulate", str(state), "--out", str(csv), "--exact"]) == 0
+    _with_byte_ff(csv, 240)
+    capsys.readouterr()
+    assert main(["reconstruct", str(csv), "--out", str(tmp_path / "x.json"), "--n", "16"]) == 3
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {csv}: not ")
+    assert "text" in err
+
+
+def test_simulate_non_utf8_state_is_a_data_error(tmp_path, capsys):
+    state = _gen(tmp_path, extra=["--n", "16"])
+    _with_byte_ff(state, 100)
+    capsys.readouterr()
+    assert main(["simulate", str(state), "--out", str(tmp_path / "c.csv")]) == 3
+    assert capsys.readouterr().err.startswith(f"error: {state}: not ")
+
+
 # ---------------------------------------------------------------------------
 # analyze
 # ---------------------------------------------------------------------------
@@ -447,6 +472,23 @@ def test_manifest_records_the_grid_of_the_truth_file(tmp_path):
     assert params["n"] == 32
     assert params["span"] == pytest.approx(12.0, abs=1e-12)
     assert params["center"] == pytest.approx(0.5, abs=1e-12)
+
+
+@pytest.mark.parametrize(
+    "flags, max_delta_index, max_delta",
+    [
+        (["--units", "si"], 15, 2 * math.pi * 1e9),  # derived: full coverage, the SI advisory
+        ([], 15, None),  # no advisory applies
+        (["--max-delta-index", "3", "--max-delta", "5"], 3, 5.0),
+    ],
+)
+def test_simulate_manifest_records_the_values_used(tmp_path, flags, max_delta_index, max_delta):
+    state = _gen(tmp_path, extra=["--n", "16"])
+    csv = tmp_path / "records.csv"
+    assert main(["simulate", str(state), "--out", str(csv), "--exact", *flags]) == 0
+    params = json.loads((tmp_path / "records.csv.manifest.json").read_text())["parameters"]
+    assert params["max_delta_index"] == max_delta_index
+    assert params["max_delta"] == max_delta
 
 
 def test_module_entry_point(tmp_path):

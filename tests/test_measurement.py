@@ -339,7 +339,7 @@ def test_p_delta_table_is_one_repr_line_per_cell(tmp_path, monkeypatch, exact):
     g = make_grid(0.0, 16.0, 16)
     plan = plan_scan(g, 3, shots=50, seed=11)
     records = simulate_counts(_state(g), plan, InterferometerConfig(gamma=0.7), exact=exact)
-    monkeypatch.setattr(measurement, "_P_DELTA_BLOCK", 7)
+    monkeypatch.setattr(measurement, "_BLOCK_ROWS", 7)
     path = tmp_path / "p_delta.csv"
     write_p_delta_table(path, records, g)
     rows = zip(*(col.tolist() for col in p_delta_rows(records, g)))

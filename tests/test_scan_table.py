@@ -27,6 +27,7 @@ from spectomo import (
     time_jitter_state,
     write_records,
 )
+from spectomo import measurement
 from spectomo.cli import main
 from spectomo.diagnostics import capture
 from spectomo.measurement import RECORD_HEADER, THETAS
@@ -218,6 +219,132 @@ def test_first_bad_line_wins(tmp_path):
     path.write_text("\n".join(text[:7] + ["99,0,0.0,100,100,60,40"] + text[7:]) + "\n")
     with pytest.raises(DataFormatError, match=r":5: counts_A"):
         read_records(path, GRID)
+
+
+# ---------------------------------------------------------------------------
+# CSV blocks: every result and message as if the file were one block
+# ---------------------------------------------------------------------------
+
+def _read_outcome(path, grid):
+    try:
+        return read_records(path, grid)
+    except DataFormatError as exc:
+        return str(exc)
+
+
+def _read_in_blocks(path, monkeypatch, grid=GRID):
+    """The read of `path` in one block, once it equals the read in 3-line blocks."""
+    whole = _read_outcome(path, grid)
+    with monkeypatch.context() as m:
+        m.setattr(measurement, "_BLOCK_ROWS", 3)
+        blocks = _read_outcome(path, grid)
+    assert type(blocks) is type(whole)
+    assert blocks == whole
+    if isinstance(whole, ScanTable):
+        assert [col.dtype for col in blocks.columns] == [col.dtype for col in whole.columns]
+    return whole
+
+
+@pytest.mark.parametrize("exact", [False, True], ids=["sampled", "exact"])
+def test_written_blocks_do_not_change_bytes(tmp_path, monkeypatch, exact):
+    table = _scan(exact=exact)
+    assert len(table) % 3 == 1  # the last block is a part block
+    one, blocks = tmp_path / "one.csv", tmp_path / "blocks.csv"
+    write_records(one, table)
+    with monkeypatch.context() as m:
+        m.setattr(measurement, "_BLOCK_ROWS", 3)
+        write_records(blocks, table)
+    assert blocks.read_bytes() == one.read_bytes()
+    assert read_records(blocks, GRID) == table
+
+
+@pytest.mark.parametrize("lineno", [9, 10])
+@pytest.mark.parametrize("case", sorted(MALFORMED_ROWS))
+def test_malformed_row_in_a_later_block_names_its_file_line(tmp_path, monkeypatch, case, lineno):
+    # Blocks are lines 1-3, 4-6, 7-9 and 10-12; line 4 is blank.
+    bad_line, reason = MALFORMED_ROWS[case]
+    path = _bad_csv(tmp_path, bad_line, lineno=lineno)
+    message = _read_in_blocks(path, monkeypatch)
+    assert message.startswith(f"{path}:{lineno}: ")
+    assert reason in message
+
+
+def _csv_text(table, newline="\n", blank=(), final_newline=True):
+    """The CSV of a sampled `table`, with blank lines at the line numbers `blank`."""
+    lines = [RECORD_HEADER] + [
+        f"{d},{k},{THETAS[slot]!r},{n},{p},{a},{b}"
+        for d, k, slot, _, n, p, a, b in zip(*(col.tolist() for col in table.columns))
+    ]
+    for lineno in sorted(blank):
+        lines.insert(lineno - 1, "")
+    return newline.join(lines) + (newline if final_newline else "")
+
+
+TABLE = _scan(max_delta_index=0)
+
+
+@pytest.mark.parametrize(
+    "layout",
+    [
+        dict(blank=(3, 4)),  # the last line of block 1 and the first of block 2
+        dict(blank=(4, 5, 6)),  # all of block 2
+        dict(blank=(7, 8, 9, 10, 11, 12, 40)),
+        dict(newline="\r\n"),
+        dict(newline="\r\n", blank=(3, 4), final_newline=False),
+        dict(final_newline=False),
+    ],
+    ids=["edge-blanks", "blank-block", "blank-blocks", "crlf", "crlf-blanks-no-final-newline", "no-final-newline"],
+)
+def test_blocks_keep_line_boundaries(tmp_path, monkeypatch, layout):
+    path = tmp_path / "records.csv"
+    path.write_bytes(_csv_text(TABLE, **layout).encode())
+    assert _read_in_blocks(path, monkeypatch) == TABLE
+
+
+def test_blocks_keep_line_numbers_after_blank_lines_and_crlf(tmp_path, monkeypatch):
+    text = _csv_text(TABLE, newline="\r\n", blank=(3, 4, 8)).splitlines()
+    text[20] = "0,0,0.0,100,100,60,50"  # line 21, after three blank lines
+    path = tmp_path / "records.csv"
+    path.write_bytes("\r\n".join(text).encode())
+    message = _read_in_blocks(path, monkeypatch)
+    assert message.startswith(f"{path}:21: counts_A + counts_B")
+
+
+@pytest.mark.parametrize("text", [RECORD_HEADER, RECORD_HEADER + "\n", RECORD_HEADER + "\n\n\n\n"])
+def test_header_only_file_is_an_empty_table(tmp_path, monkeypatch, text):
+    path = tmp_path / "records.csv"
+    path.write_text(text)
+    table = _read_in_blocks(path, monkeypatch)
+    assert len(table) == 0
+    assert all(col.dtype == np.int64 for col in (table.counts_a, table.shots_postselected))
+
+
+@pytest.mark.parametrize("text", ["", "\n" + RECORD_HEADER + "\n", "delta_index\n"])
+def test_missing_header_in_blocks(tmp_path, monkeypatch, text):
+    path = tmp_path / "records.csv"
+    path.write_text(text)
+    assert _read_in_blocks(path, monkeypatch) == f"{path}: expected header {RECORD_HEADER!r}"
+
+
+def test_count_column_is_float_if_any_block_holds_a_fraction(tmp_path, monkeypatch):
+    lines = _csv_text(TABLE).splitlines()
+    lines[20] = "0,9,1.5707963267948966,100,100,99.5,0.5"  # block 7; blocks 1-6 are whole
+    path = tmp_path / "records.csv"
+    path.write_text("\n".join(lines) + "\n")
+    table = _read_in_blocks(path, monkeypatch)
+    assert table.counts_a.dtype == table.counts_b.dtype == np.float64
+    assert table.shots_postselected.dtype == np.int64
+    assert table.counts_a[19] == 99.5 and table.counts_a[0] == TABLE.counts_a[0]
+
+
+def test_blocks_span_text_reads(tmp_path, monkeypatch):
+    # Over 64 Ki characters: several text reads, each split at its last newline.
+    grid = make_grid(0.0, 16.0, 64)
+    table = _scan(grid=grid, max_delta_index=63)
+    path = tmp_path / "records.csv"
+    path.write_bytes(_csv_text(table, newline="\r\n", blank=range(2, 3000, 7)).encode())
+    assert path.stat().st_size > 3 * 2**16
+    assert _read_in_blocks(path, monkeypatch, grid) == table
 
 
 def _reconstruct_exit(tmp_path, edit, capsys):
