@@ -16,17 +16,12 @@ import math
 import sys
 import warnings
 from datetime import datetime, timezone
-from itertools import chain, repeat
 from pathlib import Path
-
-import numpy as np
 
 from . import __version__
 from .core import (
     DENSITY_MATRIX_UNITS,
     SpectralDensityMatrix,
-    _hermitian_reprs,
-    _mirror_reprs,
     density_from_pure,
     frequency_jitter_state,
     gaussian_pure,
@@ -186,34 +181,6 @@ def cmd_simulate(args) -> int:
 # reconstruct
 # ---------------------------------------------------------------------------
 
-def _write_heatmap(path: Path, state: SpectralDensityMatrix) -> None:
-    """CSV `i,j,omega_i,omega_j,re,im,abs`, one row per kernel entry in row-major order.
-
-    Values are shortest round-trip decimals of the same Hermitian fill the
-    density-matrix JSON holds (lower triangle derived from the upper).
-    """
-    grid = state.grid
-    n = grid.n
-    re, im = _hermitian_reprs(state)
-    upper = state.rho[np.triu_indices(n)]
-    # hypot, not np.abs: numpy's vectorized complex abs can be 1 ulp off libm.
-    magnitude = _mirror_reprs(np.hypot(upper.real, upper.imag), n)
-    omegas = [float.__repr__(grid.omega(i)) for i in range(n)]
-    # Row i is the pieces i ",j," omega_i ",omega_j," re "," im "," abs "\n" of
-    # each cell, joined in C; the pieces that vary only by column are built once.
-    col_j = [f",{j}," for j in range(n)]
-    col_omega = [f",{w}," for w in omegas]
-    comma, newline = repeat(","), repeat("\n")
-    with open(path, "w", newline="\n") as f:
-        f.write("i,j,omega_i,omega_j,re,im,abs\n")
-        for i, omega_i in enumerate(omegas):
-            cells = zip(
-                repeat(str(i)), col_j, repeat(omega_i), col_omega,
-                re[i], comma, im[i], comma, magnitude[i], newline,
-            )
-            f.write("".join(chain.from_iterable(cells)))
-
-
 def cmd_reconstruct(args) -> int:
     truth = load_density_matrix(args.truth) if args.truth else None
     grid = truth.grid if truth is not None else make_grid(args.center, args.span, args.n)
@@ -221,14 +188,11 @@ def cmd_reconstruct(args) -> int:
     result = reconstruct_records(records, grid, min_visibility=args.min_visibility)
     doc = report(result, truth)
     out = Path(args.out)
-    save_density_matrix(out, result.rho_hat, units=_units_label(args.units))
+    heatmap = Path(args.heatmap_out) if args.heatmap_out else None
+    save_density_matrix(out, result.rho_hat, units=_units_label(args.units), heatmap=heatmap)
     report_path = Path(args.report_out) if args.report_out else out.with_suffix(".report.json")
     report_path.write_text(json.dumps(doc, indent=2) + "\n")
-    outputs = [out, report_path]
-    if args.heatmap_out:
-        heatmap = Path(args.heatmap_out)
-        _write_heatmap(heatmap, result.rho_hat)
-        outputs.append(heatmap)
+    outputs = [out, report_path] + ([heatmap] if heatmap else [])
     params = _params(args)
     inputs = {"records": args.records}
     if args.truth:

@@ -19,8 +19,11 @@ from __future__ import annotations
 import json
 import math
 import re
+from collections import deque
+from contextlib import ExitStack
 from dataclasses import dataclass, field
 from functools import cached_property
+from itertools import chain, repeat
 from pathlib import Path
 
 import numpy as np
@@ -156,8 +159,8 @@ class SpectralDensityMatrix:
       * real, nonnegative diagonal.
 
     The `cache` dict memoizes derived quantities (cross-section transforms,
-    eigenvalues, the formatted entries); it is append-only and excluded from
-    equality.
+    eigenvalues); it is append-only and excluded from equality. The written
+    text is not cached: `save_density_matrix` formats it row by row.
     """
 
     grid: FrequencyGrid
@@ -171,8 +174,8 @@ class SpectralDensityMatrix:
             raise ValueError(f"kernel must have shape ({n}, {n}), got {m.shape}")
         if not np.isfinite(m).all():
             raise ValueError("kernel entries must be finite")
-        herm_dev = float(np.max(np.abs(m - m.conj().T)))
-        if herm_dev > 0.0:
+        if not np.array_equal(m, m.conj().T):  # the deviation array only for the message
+            herm_dev = float(np.max(np.abs(m - m.conj().T)))
             raise ValueError(
                 f"kernel must be exactly Hermitian (max deviation {herm_dev:.3e}); "
                 "use SpectralDensityMatrix.from_kernel"
@@ -239,12 +242,18 @@ def hermitian_part(grid: FrequencyGrid, kernel, *, renormalize: bool = True) -> 
     m = np.array(kernel, dtype=np.complex128)
     if m.shape != (grid.n, grid.n):
         raise ValueError(f"kernel must have shape ({grid.n}, {grid.n}), got {m.shape}")
-    m = (m + m.conj().T) / 2.0
+    return _hermitize(grid, m, renormalize=renormalize)
+
+
+def _hermitize(grid: FrequencyGrid, m: np.ndarray, *, renormalize: bool = True) -> np.ndarray:
+    """`hermitian_part` of an n x n complex128 array, computed in the array itself."""
+    np.add(m, m.conj().T, out=m)  # conj() is a copy, so nothing overlaps
+    m /= 2.0
     if renormalize:
         tr = float(np.trace(m).real) * grid.d_omega
         if not tr > 0.0:
             raise ValueError(f"cannot renormalize kernel with trace {tr!r}")
-        m = m / tr
+        m /= tr
     return m
 
 
@@ -474,38 +483,65 @@ def validate(state, grid: FrequencyGrid | None = None) -> ValidationReport:
 # Density-matrix interchange format (JSON)
 # ---------------------------------------------------------------------------
 
-def _mirror_reprs(upper: np.ndarray, n: int, *, negate_lower: bool = False) -> list[list[str]]:
-    """Row-major n x n shortest-repr strings filled from an upper triangle.
-
-    `upper` holds the real entries on and above the diagonal in
-    `np.triu_indices(n)` order. Each is formatted once; entry (j, i) below the
-    diagonal reuses the string of (i, j), sign-flipped if `negate_lower`,
-    which is exactly `repr(-x)` for finite x (0.0 becomes -0.0).
-    """
-    rows, cols = np.triu_indices(n)
-    above = list(map(float.__repr__, upper.tolist()))
-    below = [s[1:] if s[0] == "-" else "-" + s for s in above] if negate_lower else above
-    out = np.empty((n, n), dtype=object)
-    out[cols, rows] = below
-    out[rows, cols] = above
-    return out.tolist()
+def _reprs(values: np.ndarray) -> list[str]:
+    """The shortest round-trip decimal of each float in `values`."""
+    return list(map(float.__repr__, values.tolist()))
 
 
-def _hermitian_reprs(state: SpectralDensityMatrix) -> tuple[list[list[str]], list[list[str]]]:
-    """Row-major repr strings of Re and Im of the Hermitian fill of `state.rho`.
+def _hermitian_rows(state: SpectralDensityMatrix, *, magnitude: bool = False):
+    """Yield the repr strings of Re, Im and, if `magnitude`, abs of each row
+    of the Hermitian fill of `state.rho`, as one list per component per row.
 
     The fill takes m[i, j] for i <= j and conj(m[j, i]) below the diagonal,
     so what is written is exactly Hermitian whatever the lower triangle holds.
-    Memoized in `state.cache`, so the JSON writer and the CLI heatmap format
-    each float once between them.
+    Row i formats its entries i..n-1 once each; entry (j, i) below the
+    diagonal reuses the string of (i, j), sign-flipped for Im, which is
+    exactly `repr(-x)` for finite x (0.0 becomes -0.0). Those strings wait in
+    per-column lists that are handed out, and dropped here, with their row,
+    so about n^2/4 strings per component are alive at most. Abs is
+    hypot(re, im), not np.abs: numpy's vectorized complex abs can be 1 ulp
+    off libm.
     """
-    hit = state.cache.get("reprs")
-    if hit is None:
-        n = state.grid.n
-        upper = state.rho[np.triu_indices(n)]
-        hit = (_mirror_reprs(upper.real, n), _mirror_reprs(upper.imag, n, negate_lower=True))
-        state.cache["reprs"] = hit
-    return hit
+    n = state.grid.n
+    flips = (False, True, False) if magnitude else (False, True)
+    below = [[[] for _ in range(n)] for _ in flips]
+    for i in range(n):
+        upper = state.rho[i, i:]
+        parts = [upper.real, upper.imag]
+        if magnitude:
+            parts.append(np.hypot(upper.real, upper.imag))
+        rows = []
+        for values, flip, columns in zip(parts, flips, below):
+            above = _reprs(values)
+            row, columns[i] = columns[i], None
+            row += above
+            tail = [s[1:] if s[0] == "-" else "-" + s for s in above[1:]] if flip else above[1:]
+            deque(map(list.append, columns[i + 1 :], tail), maxlen=0)
+            rows.append(row)
+        yield rows
+
+
+HEATMAP_HEADER = "i,j,omega_i,omega_j,re,im,abs\n"
+
+
+def _heatmap_text(grid: FrequencyGrid):
+    """The heatmap CSV text of kernel row i from its Re, Im and abs strings,
+    as a function of (i, re, im, abs)."""
+    omegas = [float.__repr__(grid.omega(i)) for i in range(grid.n)]
+    # Row i is the pieces i ",j," omega_i ",omega_j," re "," im "," abs "\n" of
+    # each cell, joined in C; the pieces that vary only by column are built once.
+    col_j = [f",{j}," for j in range(grid.n)]
+    col_omega = [f",{w}," for w in omegas]
+    comma, newline = repeat(","), repeat("\n")
+
+    def text(i: int, re_row: list[str], im_row: list[str], abs_row: list[str]) -> str:
+        cells = zip(
+            repeat(str(i)), col_j, repeat(omegas[i]), col_omega,
+            re_row, comma, im_row, comma, abs_row, newline,
+        )
+        return "".join(chain.from_iterable(cells))
+
+    return text
 
 
 def density_matrix_from_dict(doc: dict) -> SpectralDensityMatrix:
@@ -545,22 +581,35 @@ def density_matrix_from_dict(doc: dict) -> SpectralDensityMatrix:
         raise DataFormatError(f"file does not hold a physical density matrix: {exc}") from exc
 
 
-def save_density_matrix(path, state: SpectralDensityMatrix, units: str = DENSITY_MATRIX_UNITS) -> None:
-    """Write `{omega_min, d_omega, n, units, rho}` JSON, `rho` as row-major [re, im] pairs.
+def save_density_matrix(
+    path, state: SpectralDensityMatrix, units: str = DENSITY_MATRIX_UNITS, *, heatmap=None
+) -> None:
+    """Write `{omega_min, d_omega, n, units, rho}` JSON, `rho` as row-major [re, im] pairs,
+    and, given a `heatmap` path, the CSV `i,j,omega_i,omega_j,re,im,abs` there.
 
-    The lower triangle is derived from the upper, so the file is exactly
-    Hermitian; the bytes are those `json.dumps` gives for the same document.
+    Both files are written in one pass over the rows of `_hermitian_rows`:
+    the lower triangle is derived from the upper, so the file is exactly
+    Hermitian, and the bytes are those `json.dumps` gives for the same
+    document. The heatmap has one row per kernel entry in row-major order,
+    its re and im the very strings of the JSON and abs their hypot, all
+    shortest round-trip decimals.
     """
     grid = state.grid
     header = json.dumps(
         {"omega_min": grid.omega_min, "d_omega": grid.d_omega, "n": grid.n, "units": units, "rho": []}
     )
-    re, im = _hermitian_reprs(state)
-    with open(path, "w") as f:
+    with ExitStack() as files:
+        if heatmap is not None:  # opened first: a path that fails leaves the JSON untouched
+            h = files.enter_context(open(heatmap, "w", newline="\n"))
+            h.write(HEATMAP_HEADER)
+            heatmap_text = _heatmap_text(grid)
+        f = files.enter_context(open(path, "w"))
         f.write(header[:-2])  # drop the closing "]}" of the empty rho list
-        for i, (re_row, im_row) in enumerate(zip(re, im)):
+        for i, (re_row, im_row, *abs_row) in enumerate(_hermitian_rows(state, magnitude=heatmap is not None)):
             f.write(", " if i else "")
             f.write(", ".join([f"[{a}, {b}]" for a, b in zip(re_row, im_row)]))
+            if heatmap is not None:
+                h.write(heatmap_text(i, re_row, im_row, *abs_row))
         f.write("]}\n")
 
 

@@ -121,9 +121,20 @@ def _first_invalid(cols: dict, checks=(), phase=None) -> tuple[int, str] | None:
     a, b = cols["counts_a"], cols["counts_b"]
     total = a + b
     with np.errstate(invalid="ignore"):  # inf - inf; such rows fail below
-        # math.isclose(total, post, rel_tol=1e-9, abs_tol=1e-9), row by row
-        tol = np.maximum(1e-9 * np.maximum(np.abs(total), np.abs(post)), 1e-9)
-        close = (total == post) | (np.abs(post - total) <= tol)
+        # math.isclose(total, post, rel_tol=1e-9, abs_tol=1e-9), row by row:
+        # |post - total| <= max(1e-9 * max(|total|, |post|), 1e-9), one bound
+        # at a time in one float buffer. Scaling by 1e-9 is monotonic, so the
+        # booleans are those of the formula as written.
+        close = total == post
+        deviation = post - total
+        np.abs(deviation, out=deviation)
+        close |= deviation <= 1e-9
+        bound = np.empty(len(total))
+        for x in (total, post):
+            np.abs(x, out=bound)
+            bound *= 1e-9
+            close |= deviation <= bound
+        del total, deviation, bound
 
     def value(col, row):
         return col[row].item()

@@ -22,6 +22,7 @@ from . import diagnostics
 from .core import (
     FrequencyGrid,
     SpectralDensityMatrix,
+    _hermitize,
     hermitian_part,
     hs_distance,
     hs_overlap,
@@ -231,8 +232,12 @@ def project_physical(
     m = np.asarray(rho_raw, dtype=np.complex128)
     if m.shape != (grid.n, grid.n):
         raise ValueError(f"matrix must have shape ({grid.n}, {grid.n}), got {m.shape}")
-    herm = (m + m.conj().T) / 2.0
-    w, vecs = np.linalg.eigh(herm * grid.d_omega)
+    # In place where the arithmetic allows, with the operations and their
+    # order unchanged, so that few n x n temporaries are alive at once.
+    herm = hermitian_part(grid, m, renormalize=False)
+    herm *= grid.d_omega
+    w, vecs = np.linalg.eigh(herm)
+    del herm
     min_eig = float(w[0])
     if not w[-1] > 0.0:
         raise DegenerateInputError("no positive spectral weight to project onto")
@@ -244,8 +249,12 @@ def project_physical(
         total += x
         t = max(t, (total - 1.0) / j)
     kept = np.clip(w - t, 0.0, None)
-    kernel = (vecs * kept) @ vecs.conj().T / grid.d_omega
-    return SpectralDensityMatrix(grid, hermitian_part(grid, kernel)), min_eig
+    vecs_h = vecs.conj().T
+    vecs *= kept
+    kernel = vecs @ vecs_h
+    del vecs, vecs_h
+    kernel /= grid.d_omega
+    return SpectralDensityMatrix(grid, _hermitize(grid, kernel)), min_eig
 
 
 def reconstruct_records(

@@ -266,26 +266,44 @@ def test_reconstruct_heatmap(tmp_path):
         assert float(mag) == abs(complex(*pairs[k]))
 
 
-def test_reconstruct_formats_rho_hat_once(tmp_path, monkeypatch):
-    # The JSON and the heatmap share one formatting of re and im; abs is the
-    # only other n x n formatting pass.
-    from spectomo import core
-
+def test_reconstruct_unwritable_heatmap_leaves_no_output(tmp_path, capsys):
     state = _gen(tmp_path, extra=["--n", "16"])
     csv = tmp_path / "records.csv"
     assert main(["simulate", str(state), "--out", str(csv), "--exact"]) == 0
+    out = tmp_path / "x.json"
+    heatmap = tmp_path / "missing" / "heat.csv"
+    capsys.readouterr()
+    assert main(["reconstruct", str(csv), "--out", str(out), "--n", "16", "--heatmap-out", str(heatmap)]) == 3
+    assert "heat.csv" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_reconstruct_formats_rho_hat_once(tmp_path, monkeypatch):
+    # Re and im are formatted once per upper-triangle entry and shared by the
+    # JSON and the heatmap; abs is the only other value formatted, once per
+    # upper-triangle entry too. Row i formats its n - i entries i..n-1.
+    from spectomo import core
+
+    n = 16
+    state = _gen(tmp_path, extra=["--n", str(n)])
+    csv = tmp_path / "records.csv"
+    assert main(["simulate", str(state), "--out", str(csv), "--exact"]) == 0
     calls = []
-    mirror = core._mirror_reprs
+    reprs = core._reprs
 
-    def counted(*args, **kwargs):
-        calls.append(args[1])
-        return mirror(*args, **kwargs)
+    def counted(values):
+        calls.append(len(values))
+        return reprs(values)
 
-    monkeypatch.setattr(core, "_mirror_reprs", counted)
-    monkeypatch.setattr(spectomo.cli, "_mirror_reprs", counted)
-    argv = ["reconstruct", str(csv), "--out", str(tmp_path / "x.json"), "--n", "16"]
+    monkeypatch.setattr(core, "_reprs", counted)
+    argv = ["reconstruct", str(csv), "--out", str(tmp_path / "x.json"), "--n", str(n)]
     assert main(argv + ["--heatmap-out", str(tmp_path / "heat.csv")]) == 0
-    assert calls == [16, 16, 16]
+    assert calls == [n - i for i in range(n) for _ in range(3)]
+    assert sum(calls) == 3 * n * (n + 1) // 2
+    calls.clear()
+    assert main(argv) == 0
+    assert calls == [n - i for i in range(n) for _ in range(2)]
+    assert sum(calls) == 2 * n * (n + 1) // 2
 
 
 @pytest.mark.parametrize("case", sorted(MALFORMED_RHO))

@@ -1,4 +1,5 @@
 import json
+import math
 from pathlib import Path
 
 import numpy as np
@@ -8,6 +9,7 @@ from hypothesis import strategies as st
 
 from spectomo import (
     DataFormatError,
+    FrequencyGrid,
     SpectralDensityMatrix,
     density_from_pure,
     gaussian_pure,
@@ -181,6 +183,45 @@ def test_canonical_reader_loads_physical_states_as_json_does(tmp_path_factory, a
     kind, rho = _outcome(load_density_matrix, path)
     assert kind == "rho"
     assert (kind, rho) == _outcome(_reference_load, path)
+
+
+def _unchecked_state(grid, kernel):
+    """A state holding `kernel` as it is, past the constructor's checks."""
+    state = object.__new__(SpectralDensityMatrix)
+    for name, value in (("grid", grid), ("rho", kernel), ("cache", {})):
+        object.__setattr__(state, name, value)
+    return state
+
+
+@st.composite
+def unchecked_states(draw):
+    # Any finite entries, the lower triangle unrelated to the upper one.
+    n = draw(st.integers(2, 9))
+    grid = FrequencyGrid(draw(st.floats(-1e3, 1e3)), draw(st.floats(1e-3, 10.0)), n)
+    values = draw(st.lists(finite_floats, min_size=2 * n * n, max_size=2 * n * n))
+    return _unchecked_state(grid, np.array(values).view(np.complex128).reshape(n, n))
+
+
+@settings(max_examples=150, deadline=None)
+@given(state=unchecked_states())
+@example(state=_unchecked_state(FrequencyGrid(0.0, 1.0, 2), np.array([[-0.0, 5e-324 - 0.0j], [1e308j, 0.0]])))
+def test_one_pass_writes_the_hermitian_fill(tmp_path_factory, state):
+    path = tmp_path_factory.getbasetemp() / "fill.json"
+    heatmap = tmp_path_factory.getbasetemp() / "fill.csv"
+    with np.errstate(over="ignore"):  # abs of entries near the float limit is inf
+        save_density_matrix(path, state, units="dimensionless", heatmap=heatmap)
+    doc = density_matrix_to_dict(state, "dimensionless")
+    assert path.read_text() == json.dumps(doc) + "\n"
+    n, grid = state.grid.n, state.grid
+    lines = heatmap.read_text().split("\n")
+    assert lines[0] == "i,j,omega_i,omega_j,re,im,abs"
+    assert lines[-1] == ""
+    expected = [
+        [str(k // n), str(k % n), repr(grid.omega(k // n)), repr(grid.omega(k % n)),
+         repr(re), repr(im), repr(math.hypot(re, im))]
+        for k, (re, im) in enumerate(doc["rho"])
+    ]
+    assert [line.split(",") for line in lines[1:-1]] == expected
 
 
 def _saved_text(tmp_path, state):

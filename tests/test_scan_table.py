@@ -115,6 +115,54 @@ def test_constructor_names_the_first_bad_row(column, value, reason):
         ScanTable(**columns)
 
 
+def _isclose_as_written(total, post):
+    """The row check's closeness test as one out-of-place formula."""
+    with np.errstate(invalid="ignore"):
+        tol = np.maximum(1e-9 * np.maximum(np.abs(total), np.abs(post)), 1e-9)
+        return (total == post) | (np.abs(post - total) <= tol)
+
+
+@st.composite
+def count_columns(draw):
+    # counts_a, counts_b and shots_postselected, each int64 or float64, with
+    # sums near, at and far from the post-selected count.
+    rows = draw(st.integers(1, 6))
+    dtypes = [draw(st.sampled_from([np.int64, np.float64])) for _ in range(3)]
+    value = st.one_of(st.integers(0, 2**61), st.floats(0.0, 2.0**61), st.sampled_from([0, 1, 2**53 + 1]))
+    a = [draw(value) for _ in range(rows)]
+    b = [draw(value) for _ in range(rows)]
+    post = []
+    for x, y in zip(a, b):
+        total = float(x) + float(y)
+        post.append(draw(st.one_of(
+            st.just(total),
+            st.floats(-3e-9, 3e-9).map(lambda e: total * (1.0 + e)),
+            st.floats(-3e-9, 3e-9).map(lambda e: total + e),
+            st.floats(-(2.0**62), 2.0**62),
+        )))
+    a, b, post = (np.array(col).astype(dtype) for col, dtype in zip((a, b, post), dtypes))
+    return a, b, post
+
+
+@settings(max_examples=300, deadline=None)
+@given(columns=count_columns())
+def test_row_check_closeness_matches_the_formula_as_written(columns):
+    a, b, post = columns
+    zeros = np.zeros(len(a), dtype=np.int64)
+    cols = {
+        "delta_index": zeros, "tau_index": zeros, "theta_slot": zeros, "tau": zeros.astype(float),
+        "shots_attempted": np.full(len(a), 2**62, dtype=np.int64),
+        "shots_postselected": post, "counts_a": a, "counts_b": b,
+    }
+    close = _isclose_as_written(a + b, post)
+    found = measurement._first_invalid(cols)
+    if close.all():
+        assert found is None
+    else:
+        assert found is not None and found[0] == int(np.argmin(close))
+        assert "counts_A + counts_B" in found[1]
+
+
 def test_support_clipping_once_per_band():
     grid = make_grid(0.0, 16.0, 16)
     state = time_jitter_state(gaussian_pure(grid, 0.0, 1.0), 1.0)
