@@ -106,8 +106,12 @@ class FrequencyGrid:
 
 def make_grid(omega_center: float, span: float, n: int) -> FrequencyGrid:
     """Grid of n points covering [omega_center - span/2, omega_center + span/2]."""
+    if not math.isfinite(omega_center):
+        raise ValueError(f"center must be finite, got {omega_center}")
     if not span > 0:
         raise ValueError(f"span must be positive, got {span}")
+    if not math.isfinite(span):
+        raise ValueError(f"span must be finite, got {span}")
     if n < 2:
         raise ValueError(f"need at least 2 grid points, got {n}")
     return FrequencyGrid(omega_min=omega_center - span / 2.0, d_omega=span / (n - 1), n=n)
@@ -158,9 +162,9 @@ class SpectralDensityMatrix:
       * unit trace within TRACE_TOL,
       * real, nonnegative diagonal.
 
-    The `cache` dict memoizes derived quantities (cross-section transforms,
-    eigenvalues); it is append-only and excluded from equality. The written
-    text is not cached: `save_density_matrix` formats it row by row.
+    The `cache` dict memoizes the eigenvalues, the one derived quantity read
+    more than once; it is append-only and excluded from equality. Neither
+    the cross-section transforms nor the written text are cached.
     """
 
     grid: FrequencyGrid

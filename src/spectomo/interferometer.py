@@ -10,16 +10,16 @@ probability reads out
 where G_delta(tau) = sum_i exp(-i*tau*omega_i) * rho[i, i-k] * d_omega is the
 Fourier transform of the kernel band shifted by k = delta_index, and gamma is
 the transverse-mode overlap of the two arms at the recombiner. The package
-computes P_A in one place: `band_transforms` stacks the G_delta rows of a
-whole scan, each a phase ramp times one FFT of a kernel band
-(`cross_section_transform`). The test suite checks this path against two
+computes G_delta in one place: `cross_section_transform` gathers the kernel
+bands of a whole scan into one (bands, n) array and takes a phase ramp times
+one FFT along the delay axis. The test suite checks this path against two
 independent per-setting references, the trace of the composed conditional
 state and a direct Riemann sum of the four-term probability integrand.
 
 Frequency shifts are grid-aligned only (delta = k * d_omega), so shifted
 kernels stay on the grid with no interpolation; entries shifted past the grid
 edge are dropped as zeros, and the trace mass lost that way triggers a
-support-clipping diagnostic above CLIP_WARN.
+support-clipping diagnostic above CLIP_WARN (`warn_support_clipping`).
 """
 
 from __future__ import annotations
@@ -84,70 +84,49 @@ class InterferometerConfig:
         return self.xi * self.detector_efficiency
 
 
-def _check_delta(state: SpectralDensityMatrix, delta_index: int) -> int:
-    if not 0 <= delta_index < state.grid.n:
-        raise ValueError(
-            f"delta_index must be in [0, {state.grid.n - 1}], got {delta_index}"
-        )
-    return delta_index
+def _band_indices(state: SpectralDensityMatrix, delta_indices) -> np.ndarray:
+    """The shifts as a 1-D int64 array, each checked to be an integer in [0, n)."""
+    values = [delta_indices] if np.ndim(delta_indices) == 0 else delta_indices
+    n = state.grid.n
+    for k in values:
+        if not (isinstance(k, (int, np.integer)) and 0 <= k < n):
+            raise ValueError(f"delta_index must be an integer in [0, {n - 1}], got {k}")
+    return np.array(values, dtype=np.int64).reshape(-1)
 
 
-def _lower_band(m: np.ndarray, k: int) -> np.ndarray:
-    """g[i] = m[i, i-k] for i >= k, zero otherwise."""
-    g = np.zeros(m.shape[0], dtype=np.complex128)
-    g[k:] = np.diagonal(m, -k)
-    return g
-
-
-def shifted_trace_deficit(state: SpectralDensityMatrix, delta_index: int) -> float:
-    """Trace mass that a shift by delta_index pushes past the grid edge."""
-    k = _check_delta(state, delta_index)
-    if k == 0:
-        return 0.0
+def warn_support_clipping(state: SpectralDensityMatrix, delta_indices) -> None:
+    """Emit one support-clipping diagnostic per shift, in the order given, that
+    pushes more than CLIP_WARN of the trace mass past the grid edge."""
     diag = state.rho.diagonal().real
-    return float(diag[state.grid.n - k :].sum()) * state.grid.d_omega
+    for k in _band_indices(state, delta_indices).tolist():
+        deficit = float(diag[state.grid.n - k :].sum()) * state.grid.d_omega
+        if deficit > CLIP_WARN:
+            emit(
+                "support-clipping",
+                f"shift by delta_index={k} pushes {deficit:.3e} of the trace mass off the grid",
+                delta_index=k,
+                clipped_mass=deficit,
+            )
 
 
-def _warn_clipping(deficit: float, delta_index: int) -> None:
-    if deficit > CLIP_WARN:
-        emit(
-            "support-clipping",
-            f"shift by delta_index={delta_index} pushes {deficit:.3e} of the trace "
-            "mass off the grid",
-            delta_index=delta_index,
-            clipped_mass=deficit,
-        )
-
-
-def cross_section_transform(state: SpectralDensityMatrix, delta_index: int) -> np.ndarray:
-    """G_delta on the conjugate delay grid.
+def cross_section_transform(state: SpectralDensityMatrix, delta_indices) -> np.ndarray:
+    """G_delta on the conjugate delay grid, for one shift or several.
 
     G(tau_j) = sum_i exp(-i*tau_j*omega_i) * rho[i, i-k] * d_omega, with
     out-of-grid band entries treated as zero. Factors into a phase ramp from
     omega_min times a plain forward FFT, which is what makes the inversion
-    exact. Memoized per (state, delta_index); |G| <= 1 by Cauchy-Schwarz.
+    exact. An int gives the (n,) row; a sequence gives a (len, n) array whose
+    rows come from one FFT along the delay axis. |G| <= 1 by Cauchy-Schwarz.
     """
-    k = _check_delta(state, delta_index)
-    key = ("cross_section", k)
-    g = state.cache.get(key)
-    if g is None:
-        grid = state.grid
-        band = _lower_band(state.rho, k)
-        g = np.exp(-1j * grid.taus * grid.omega_min) * np.fft.fft(band) * grid.d_omega
-        g.flags.writeable = False
-        state.cache[key] = g
-    return g
-
-
-def band_transforms(state: SpectralDensityMatrix, delta_indices) -> np.ndarray:
-    """G_delta for several shifts as one (len(delta_indices), n) array.
-
-    Row r is `cross_section_transform(state, delta_indices[r])`. A band that
-    pushes mass off the grid emits its support-clipping diagnostic once here,
-    not once per setting that reads it.
-    """
-    rows = []
-    for k in delta_indices:
-        rows.append(cross_section_transform(state, k))
-        _warn_clipping(shifted_trace_deficit(state, k), k)
-    return np.array(rows).reshape(len(rows), state.grid.n)
+    k = _band_indices(state, delta_indices)
+    grid = state.grid
+    i = np.arange(grid.n)
+    # rho[i, i - k] through the flat index i*(n + 1) - k, zero where i < k.
+    g = state.rho.take(i * (grid.n + 1) - k[:, None], mode="clip")
+    g[i < k[:, None]] = 0.0
+    g = np.fft.fft(g, axis=-1)
+    # In place, so that one (bands, n) array is alive, with the operand order
+    # ramp * FFT * d_omega that fixes every row's bits.
+    np.multiply(np.exp(-1j * grid.taus * grid.omega_min), g, out=g)
+    g *= grid.d_omega
+    return g[0] if np.ndim(delta_indices) == 0 else g

@@ -34,7 +34,12 @@ import numpy as np
 from .core import FrequencyGrid
 from .diagnostics import emit
 from .errors import DataFormatError, InsufficientDataError
-from .interferometer import InterferometerConfig, MeasurementSetting, band_transforms
+from .interferometer import (
+    InterferometerConfig,
+    MeasurementSetting,
+    cross_section_transform,
+    warn_support_clipping,
+)
 
 THETAS = (0.0, math.pi / 2.0)
 THETA_TOL = 1e-9  # a row's theta must lie this close to one of THETAS
@@ -277,10 +282,11 @@ class ScanPlan:
     seed: int
 
     def __post_init__(self):
-        if not 0 <= self.max_delta_index < self.grid.n:
-            raise ValueError(f"max_delta_index must be in [0, {self.grid.n - 1}], got {self.max_delta_index}")
-        if self.shots_per_setting <= 0:
-            raise ValueError(f"shots_per_setting must be positive, got {self.shots_per_setting}")
+        n = self.grid.n
+        if not (isinstance(self.max_delta_index, (int, np.integer)) and 0 <= self.max_delta_index < n):
+            raise ValueError(f"max_delta_index must be an integer in [0, {n - 1}], got {self.max_delta_index}")
+        if not (isinstance(self.shots_per_setting, (int, np.integer)) and self.shots_per_setting > 0):
+            raise ValueError(f"shots_per_setting must be a positive integer, got {self.shots_per_setting}")
         if not (isinstance(self.seed, (int, np.integer)) and self.seed >= 0):
             raise ValueError(f"seed must be a nonnegative integer, got {self.seed}")
 
@@ -335,8 +341,10 @@ def simulate_counts(state, plan: ScanPlan, config: InterferometerConfig, *, exac
     """Simulate the scan; returns a ScanTable ordered by setting ordinal.
 
     P_A = 1/2 + Re[gamma e^{i theta} G_delta(tau)]/2 for every setting at
-    once, from the cached band transforms, with the float operations of one
-    setting's complex product Re[c * G]. Sampling mode: shots_postselected ~
+    once, from one batched transform of every band, with the float
+    operations of one setting's complex product Re[c * G]. A band that pushes
+    mass off the grid emits its support-clipping diagnostic once, not once
+    per setting that reads it. Sampling mode: shots_postselected ~
     Binomial(shots, xi * efficiency), counts_A ~ Binomial(shots_postselected,
     P_A). Each stream (the calibration pair's, then each band's, see the
     module docstring) draws all its rows' shots_postselected in one call and
@@ -344,7 +352,8 @@ def simulate_counts(state, plan: ScanPlan, config: InterferometerConfig, *, exac
     stores counts_A = shots * P_A unrounded.
     """
     delta_index, tau_index, slot = plan.cells()
-    g = band_transforms(state, plan.delta_indices)[delta_index, tau_index]
+    g = cross_section_transform(state, plan.delta_indices)[delta_index, tau_index]
+    warn_support_clipping(state, plan.delta_indices)
     # Re[c * G] as CPython's complex product forms it, c = gamma * e^{i theta}.
     c = [complex(config.gamma) * cmath.exp(1j * theta) for theta in THETAS]
     c_re, c_im = np.array([z.real for z in c])[slot], np.array([z.imag for z in c])[slot]

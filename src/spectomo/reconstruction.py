@@ -278,10 +278,10 @@ def reconstruct_records(
         deltas = estimate.delta_indices.tolist()
         rho_raw = assemble(dict(zip(deltas, invert_cross_section(estimate, grid))), grid)
         rho_hat, min_eig = project_physical(rho_raw, grid)
-        residuals = []
-        for m, measured in zip(deltas, estimate.g_of_tau):
-            diff = measured - cross_section_transform(rho_hat, m)
-            residuals.append(math.sqrt(float(np.vdot(diff, diff).real) / grid.n))
+        residuals = [
+            math.sqrt(float(np.vdot(diff, diff).real) / grid.n)
+            for diff in estimate.g_of_tau - cross_section_transform(rho_hat, deltas)
+        ]
     return ReconstructionResult(
         rho_hat=rho_hat,
         gamma_hat=gamma_hat,

@@ -1,15 +1,19 @@
 """Per-setting reference routes to the port-A probability.
 
-The package computes P_A for a whole scan from `band_transforms`. These
-routes compute it for one setting at a time, by two independent means, so
-tests can check the shipped path against them:
+The package computes P_A for a whole scan from one batched
+`cross_section_transform`. These routes compute it for one setting at a time,
+by two independent means, so tests can check the shipped path against them:
 
 * `conditional_state` composes the AOM shift, phase shifter, delay and the
   two beamsplitters into the four-term port-A kernel and takes its trace;
 * `probabilities_quadrature` is a direct Riemann sum of the four-term
   probability integrand, and the sign-convention reference;
 * `probabilities_closed_form` reads G_delta(tau) from the production
-  `band_transforms`, so it is the shipped path evaluated at one setting.
+  `cross_section_transform`, so it is the shipped path evaluated at one
+  setting.
+
+Each route emits the package's support-clipping diagnostic through the public
+`warn_support_clipping` and keeps its own band helpers.
 """
 
 from __future__ import annotations
@@ -22,14 +26,17 @@ from spectomo.core import PSD_TOL, SpectralDensityMatrix, hermitian_part
 from spectomo.interferometer import (
     InterferometerConfig,
     MeasurementSetting,
-    _check_delta,
-    _lower_band,
-    _warn_clipping,
-    band_transforms,
-    shifted_trace_deficit,
+    cross_section_transform,
+    warn_support_clipping,
 )
 
 _EPS = float(np.finfo(np.float64).eps)
+
+
+def _check_delta(state: SpectralDensityMatrix, delta_index: int) -> int:
+    if not 0 <= delta_index < state.grid.n:
+        raise ValueError(f"delta_index must be in [0, {state.grid.n - 1}], got {delta_index}")
+    return delta_index
 
 
 def _shift_rows(m: np.ndarray, k: int) -> np.ndarray:
@@ -48,6 +55,13 @@ def _shift_both(m: np.ndarray, k: int) -> np.ndarray:
     out = np.zeros_like(m)
     out[k:, k:] = m[: m.shape[0] - k, : m.shape[1] - k]
     return out
+
+
+def _lower_band(m: np.ndarray, k: int) -> np.ndarray:
+    """g[i] = m[i, i-k] for i >= k, zero otherwise."""
+    g = np.zeros(m.shape[0], dtype=np.complex128)
+    g[k:] = np.diagonal(m, -k)
+    return g
 
 
 def _upper_band(m: np.ndarray, k: int) -> np.ndarray:
@@ -95,7 +109,7 @@ def conditional_state(
     t4 = _shift_both(m, k)
     kernel = (t1 + t2 + t3 + t4) / 4.0
     p_raw = float(kernel.diagonal().real.sum()) * grid.d_omega
-    _warn_clipping(shifted_trace_deficit(state, k), k)
+    warn_support_clipping(state, k)
     p_a = min(max(p_raw, 0.0), 1.0)
     if p_a < 1e-12:
         return None, p_a
@@ -140,7 +154,7 @@ def probabilities_quadrature(
         * complex(np.sum(phase.conj() * _upper_band(m, k)))
     )
     cross = (c2 + c3).real * grid.d_omega
-    _warn_clipping(t1 - t4, k)
+    warn_support_clipping(state, k)
     p_a = min(max(float(t1 + t4 + cross) / 4.0, 0.0), 1.0)
     return p_a, 1.0 - p_a
 
@@ -152,9 +166,10 @@ def probabilities_closed_form(
 ) -> tuple[float, float]:
     """Closed-form probabilities P_A = 1/2 + Re[gamma e^{i theta} G_delta(tau)]/2.
 
-    G_delta comes from the production `band_transforms`, which also emits its
-    support-clipping diagnostic. Valid for tau on the conjugate delay grid;
-    off-grid delays fall back to the direct quadrature.
+    G_delta comes from the production `cross_section_transform`, and the
+    support-clipping diagnostic from `warn_support_clipping`, as in
+    `simulate_counts`. Valid for tau on the conjugate delay grid; off-grid
+    delays fall back to the direct quadrature.
     """
     grid = state.grid
     pos = setting.tau / grid.d_tau
@@ -163,7 +178,8 @@ def probabilities_closed_form(
         grid.d_tau, abs(setting.tau)
     ):
         return probabilities_quadrature(state, setting, config)
-    g = band_transforms(state, [setting.delta_index])[0]
+    g = cross_section_transform(state, setting.delta_index)
+    warn_support_clipping(state, setting.delta_index)
     value = (complex(config.gamma) * cmath.exp(1j * setting.theta) * complex(g[j])).real
     p_a = min(max(0.5 + 0.5 * value, 0.0), 1.0)
     return p_a, 1.0 - p_a

@@ -411,7 +411,34 @@ def test_analyze_rejects_non_finite_grid(tmp_path, capsys, key, value):
 def test_gen_state_rejects_nan_center(tmp_path, capsys):
     out = tmp_path / "x.json"
     assert main(["gen-state", "gaussian", "--out", str(out), "--center", "nan"]) == 2
-    assert "error: omega_min must be finite, got nan" in capsys.readouterr().err
+    assert "error: center must be finite, got nan" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("command", ["gen-state", "reconstruct"])
+@pytest.mark.parametrize(
+    "flag, value, message",
+    [
+        ("--span", "inf", "span must be finite, got inf"),
+        ("--span", "nan", "span must be positive, got nan"),
+        ("--center", "inf", "center must be finite, got inf"),
+        ("--center", "-inf", "center must be finite, got -inf"),
+    ],
+    ids=["span-inf", "span-nan", "center-inf", "center-minus-inf"],
+)
+def test_grid_flags_are_named_in_their_errors(tmp_path, capsys, command, flag, value, message):
+    out = tmp_path / "x.json"
+    if command == "gen-state":
+        argv = ["gen-state", "gaussian", "--n", "16"]
+    else:
+        state = _gen(tmp_path, extra=["--n", "16"])
+        csv = tmp_path / "records.csv"
+        assert main(["simulate", str(state), "--out", str(csv), "--exact"]) == 0
+        argv = ["reconstruct", str(csv), "--n", "16"]
+    capsys.readouterr()
+    assert main([*argv, "--out", str(out), f"{flag}={value}"]) == 2
+    err = capsys.readouterr().err
+    assert f"error: {message}" in err and "omega_min" not in err
     assert not out.exists()
 
 

@@ -1,8 +1,11 @@
 import cmath
 import math
+import re
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from spectomo import (
     DiagnosticWarning,
@@ -260,11 +263,36 @@ def test_cross_section_bounded_by_one():
             assert np.max(np.abs(g)) <= 1.0 + 1e-10
 
 
-def test_cross_section_memoized(grid64):
-    rho = _pure(grid64)
-    a = cross_section_transform(rho, 2)
-    b = cross_section_transform(rho, 2)
-    assert a is b
+def _bits(g):
+    return np.ascontiguousarray(g).view(np.float64)
+
+
+@settings(max_examples=60, deadline=None)
+@given(n=st.integers(2, 40), seed=st.integers(0, 2**32 - 1))
+def test_batched_rows_equal_single_band_calls(n, seed):
+    # One FFT over a (bands, n) array must give each band's row bit for bit,
+    # whatever the other rows are and however the shifts are passed.
+    rng = np.random.default_rng(seed)
+    rho = random_psd_state(rng, make_grid(0.0, 20.0, n))
+    every = cross_section_transform(rho, range(n))
+    picked = rng.integers(0, n, size=int(rng.integers(1, 2 * n)))
+    some = cross_section_transform(rho, picked)
+    assert every.shape == (n, n) and some.shape == (len(picked), n)
+    for k in range(n):
+        one = cross_section_transform(rho, k)
+        assert one.shape == (n,)
+        for row in (every[k], cross_section_transform(rho, [k])[0], *some[picked == k]):
+            assert np.array_equal(_bits(row), _bits(one))
+
+
+@pytest.mark.parametrize(
+    "delta_index, shown",
+    [(1.5, "1.5"), (2.0, "2.0"), (64, "64"), (-1, "-1"), ([0, 2.5], "2.5"), ([3, 64], "64")],
+    ids=["fraction", "integral-float", "past-the-grid", "negative", "fraction-in-list", "past-in-list"],
+)
+def test_cross_section_rejects_a_bad_shift(grid64, delta_index, shown):
+    with pytest.raises(ValueError, match=rf"must be an integer in \[0, 63\], got {re.escape(shown)}$"):
+        cross_section_transform(_pure(grid64), delta_index)
 
 
 def test_band_hermiticity(standard_states):

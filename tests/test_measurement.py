@@ -1,4 +1,5 @@
 import math
+import re
 
 import numpy as np
 import pytest
@@ -69,6 +70,26 @@ def test_plan_counts_full_delta():
     assert plan.n_settings == 2 * 8 * 8 + 2
     with pytest.raises(ValueError):
         plan_scan(g, 8, shots=100, seed=1)
+
+
+@pytest.mark.parametrize("exact", [False, True], ids=["sampled", "exact"])
+@pytest.mark.parametrize(
+    "max_delta_index, shots, message",
+    [
+        (2, 2.5, "shots_per_setting must be a positive integer, got 2.5"),
+        (2, 100.0, "shots_per_setting must be a positive integer, got 100.0"),
+        (2, 0, "shots_per_setting must be a positive integer, got 0"),
+        (2.0, 100, "max_delta_index must be an integer in [0, 7], got 2.0"),
+        (7.5, 100, "max_delta_index must be an integer in [0, 7], got 7.5"),
+        (8, 100, "max_delta_index must be an integer in [0, 7], got 8"),
+    ],
+    ids=["fractional-shots", "float-shots", "zero-shots", "float-band", "fractional-band", "band-past-grid"],
+)
+def test_plan_rejects_non_integer_shots_and_band_limits(exact, max_delta_index, shots, message):
+    # Rejected when planned: sampling would truncate a fractional shot count.
+    g = make_grid(0.0, 8.0, 8)
+    with pytest.raises(ValueError, match=re.escape(message)):
+        simulate_counts(_state(g), plan_scan(g, max_delta_index, shots, 0), IDEAL, exact=exact)
 
 
 def test_plan_hardware_advisory():

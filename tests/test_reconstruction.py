@@ -450,10 +450,18 @@ def test_one_pass_over_every_band(monkeypatch, standard_states):
     for name in ("pool_records", "estimate_cross_section", "invert_cross_section"):
         monkeypatch.setattr(reconstruction, name, counted(name, getattr(reconstruction, name)))
     monkeypatch.setattr(np.fft, "ifft", counted("ifft", np.fft.ifft))
-    result = reconstruct_records(exact_records(rho), rho.grid)
+    monkeypatch.setattr(np.fft, "fft", counted("fft", np.fft.fft))
+    records = exact_records(rho)
+    assert calls["fft"] == 1  # every band of the simulated scan from one forward FFT
+    result = reconstruct_records(records, rho.grid)
     assert len(result.residuals) == rho.grid.n
     assert calls["pool_records"] <= 3
     assert calls["estimate_cross_section"] == calls["invert_cross_section"] == calls["ifft"] == 1
+    assert calls["fft"] == 2  # and every residual from one more
+    partial = exact_records(rho, max_delta_index=5)
+    assert calls["fft"] == 3
+    assert len(reconstruct_records(partial, rho.grid).residuals) == 6
+    assert calls["fft"] == 4
 
 
 @pytest.mark.filterwarnings("error::RuntimeWarning")
