@@ -4,7 +4,9 @@ Quantities are plain numbers in conjugate units (frequency * time
 dimensionless) by default; `--units si` marks files as SI rad/s and enables
 the default AOM advisory limit of 2*pi*1e9 rad/s. Every output file gets a
 sibling `<file>.manifest.json` naming the command, inputs, parameters, seed,
-version and timestamp. Exit codes: 0 success, 2 invalid arguments,
+version and timestamp. A command whose outputs (manifests included) would
+share a file, or overwrite one of its inputs, exits 2 before it reads or
+writes anything. Exit codes: 0 success, 2 invalid arguments,
 3 data/format error, 4 incomplete scan.
 """
 
@@ -13,6 +15,7 @@ from __future__ import annotations
 import argparse
 import json
 import math
+import os
 import sys
 import warnings
 from datetime import datetime, timezone
@@ -74,6 +77,32 @@ def _write_manifest(output: Path, command: str, inputs: dict, outputs: list, par
         "timestamp": _timestamp(),
     }
     Path(str(output) + ".manifest.json").write_text(json.dumps(manifest, indent=2) + "\n")
+
+
+def _same_file(a: Path, b: Path) -> bool:
+    if os.path.realpath(a) == os.path.realpath(b):
+        return True
+    try:
+        return os.path.samefile(a, b)  # hard links
+    except OSError:  # either file does not exist yet
+        return False
+
+
+def _refuse_shared_paths(outputs: dict, inputs: dict) -> None:
+    """Raise ValueError if two outputs, their manifests included, or an output
+    and an input are one file; keys are the names the message gives them.
+
+    Run before anything is read or written, so a refused command leaves
+    every file as it was.
+    """
+    written = []
+    for name, path in outputs.items():
+        written += [(name, Path(path)), (f"the manifest of {name}", Path(str(path) + ".manifest.json"))]
+    named = written + [(name, Path(path)) for name, path in inputs.items()]
+    for k, (name, path) in enumerate(written):
+        for other, other_path in named[k + 1 :]:
+            if _same_file(path, other_path):
+                raise ValueError(f"{name} and {other} name the same file: {path}")
 
 
 def _units_label(units: str) -> str:
@@ -138,6 +167,10 @@ def cmd_gen_state(args) -> int:
 # ---------------------------------------------------------------------------
 
 def cmd_simulate(args) -> int:
+    written = {"--out": args.out}
+    if args.p_delta_out:
+        written["--p-delta-out"] = args.p_delta_out
+    _refuse_shared_paths(written, {"the input state": args.state})
     state = load_density_matrix(args.state)
     grid = state.grid
     max_delta_index = grid.n - 1 if args.max_delta_index is None else args.max_delta_index
@@ -182,17 +215,27 @@ def cmd_simulate(args) -> int:
 # ---------------------------------------------------------------------------
 
 def cmd_reconstruct(args) -> int:
+    out = Path(args.out)
+    report_path = Path(args.report_out) if args.report_out else out.with_suffix(".report.json")
+    heatmap = Path(args.heatmap_out) if args.heatmap_out else None
+    written = {
+        "--out": out,
+        "--report-out" if args.report_out else "the default report path": report_path,
+    }
+    if heatmap:
+        written["--heatmap-out"] = heatmap
+    read = {"the input records": args.records}
+    if args.truth:
+        read["--truth"] = args.truth
+    _refuse_shared_paths(written, read)
     truth = load_density_matrix(args.truth) if args.truth else None
     grid = truth.grid if truth is not None else make_grid(args.center, args.span, args.n)
     records = read_records(args.records, grid)
     result = reconstruct_records(records, grid, min_visibility=args.min_visibility)
     doc = report(result, truth)
-    out = Path(args.out)
-    heatmap = Path(args.heatmap_out) if args.heatmap_out else None
     save_density_matrix(out, result.rho_hat, units=_units_label(args.units), heatmap=heatmap)
-    report_path = Path(args.report_out) if args.report_out else out.with_suffix(".report.json")
     report_path.write_text(json.dumps(doc, indent=2) + "\n")
-    outputs = [out, report_path] + ([heatmap] if heatmap else [])
+    outputs = list(written.values())
     params = _params(args)
     inputs = {"records": args.records}
     if args.truth:

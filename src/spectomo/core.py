@@ -162,6 +162,12 @@ class SpectralDensityMatrix:
       * unit trace within TRACE_TOL,
       * real, nonnegative diagonal.
 
+    The constructor checks and holds a read-only copy of `rho`.
+    `from_kernel` and `reconstruction.project_physical` hand over a kernel
+    they built for the purpose through `_owning`, which runs the same
+    checks on it and holds it without a copy. The checks work a block of
+    rows at a time, so no n x n complex temporary is made beside the kernel.
+
     The `cache` dict memoizes the eigenvalues, the one derived quantity read
     more than once; it is append-only and excluded from equality. Neither
     the cross-section transforms nor the written text are cached.
@@ -172,13 +178,25 @@ class SpectralDensityMatrix:
     cache: dict = field(default_factory=dict, compare=False, repr=False)
 
     def __post_init__(self):
+        self._hold(np.array(self.rho, dtype=np.complex128))
+
+    @classmethod
+    def _owning(cls, grid: FrequencyGrid, m: np.ndarray) -> "SpectralDensityMatrix":
+        """The state holding `m` itself, a complex128 array nothing else holds,
+        after the constructor's checks; `m` becomes read-only."""
+        state = object.__new__(cls)
+        object.__setattr__(state, "grid", grid)
+        object.__setattr__(state, "cache", {})
+        state._hold(m)
+        return state
+
+    def _hold(self, m: np.ndarray) -> None:
         n = self.grid.n
-        m = np.array(self.rho, dtype=np.complex128)
         if m.shape != (n, n):
             raise ValueError(f"kernel must have shape ({n}, {n}), got {m.shape}")
         if not np.isfinite(m).all():
             raise ValueError("kernel entries must be finite")
-        if not np.array_equal(m, m.conj().T):  # the deviation array only for the message
+        if not _is_exactly_hermitian(m):  # the deviation array only for the message
             herm_dev = float(np.max(np.abs(m - m.conj().T)))
             raise ValueError(
                 f"kernel must be exactly Hermitian (max deviation {herm_dev:.3e}); "
@@ -207,6 +225,8 @@ class SpectralDensityMatrix:
         optionally renormalizes the trace to 1, and rejects kernels whose
         minimum eigenvalue is below -PSD_TOL times the maximum one. The
         eigenvalues stay in the cache for `eigenvalues()` and `validate`.
+        The state holds the one copy of `kernel` that the symmetrization
+        is computed in.
         """
         m = hermitian_part(grid, kernel, renormalize=renormalize)
         w = np.linalg.eigvalsh(m) * grid.d_omega
@@ -216,7 +236,7 @@ class SpectralDensityMatrix:
                 f"kernel is not positive semidefinite: eigenvalues in "
                 f"[{w[0]:.3e}, {w_max:.3e}], tolerance {PSD_TOL:.1e}"
             )
-        state = cls(grid, m)
+        state = cls._owning(grid, m)
         w.flags.writeable = False
         state.cache["eigenvalues"] = w
         return state
@@ -249,9 +269,25 @@ def hermitian_part(grid: FrequencyGrid, kernel, *, renormalize: bool = True) -> 
     return _hermitize(grid, m, renormalize=renormalize)
 
 
+# Rows per block of the n x n checks and of `_hermitize`: their temporaries
+# are a strip of the kernel, never a second kernel.
+_CHECK_ROWS = 64
+
+
 def _hermitize(grid: FrequencyGrid, m: np.ndarray, *, renormalize: bool = True) -> np.ndarray:
-    """`hermitian_part` of an n x n complex128 array, computed in the array itself."""
-    np.add(m, m.conj().T, out=m)  # conj() is a copy, so nothing overlaps
+    """`hermitian_part` of an n x n complex128 array, computed in the array itself.
+
+    One strip at a time: strip k holds the entries (i, j) whose smaller
+    index lies in rows k * _CHECK_ROWS up to (k + 1) * _CHECK_ROWS. An entry
+    and its mirror share a strip, so each sum reads the input's values, and
+    every entry becomes m[i, j] + conj(m[j, i]), then /2, bit for bit as the
+    whole-array expression gives it.
+    """
+    for start in range(0, len(m), _CHECK_ROWS):
+        upper, lower = m[start : start + _CHECK_ROWS, start:], m[start:, start : start + _CHECK_ROWS]
+        upper_sum = upper + lower.T.conj()
+        lower[...] = lower + upper.T.conj()
+        upper[...] = upper_sum
     m /= 2.0
     if renormalize:
         tr = float(np.trace(m).real) * grid.d_omega
@@ -259,6 +295,21 @@ def _hermitize(grid: FrequencyGrid, m: np.ndarray, *, renormalize: bool = True) 
             raise ValueError(f"cannot renormalize kernel with trace {tr!r}")
         m /= tr
     return m
+
+
+def _row_blocks(m: np.ndarray):
+    """(rows, mirror) per block of `_CHECK_ROWS` rows of a square `m`:
+    rows = m[a:b], and mirror = m[:, a:b].T, so mirror[r, j] is m[j, a + r]."""
+    for start in range(0, len(m), _CHECK_ROWS):
+        yield m[start : start + _CHECK_ROWS], m[:, start : start + _CHECK_ROWS].T
+
+
+def _is_exactly_hermitian(m: np.ndarray) -> bool:
+    """np.array_equal(m, m.conj().T), with a block of rows as the largest temporary."""
+    return all(
+        np.array_equal(rows.real, mirror.real) and np.array_equal(rows.imag, -mirror.imag)
+        for rows, mirror in _row_blocks(m)
+    )
 
 
 def gaussian_pure(
@@ -492,6 +543,11 @@ def _reprs(values: np.ndarray) -> list[str]:
     return list(map(float.__repr__, values.tolist()))
 
 
+# Rows the density-matrix writer formats between packings of the strings
+# that wait for their row below the diagonal.
+_PACK_ROWS = 32
+
+
 def _hermitian_rows(state: SpectralDensityMatrix, *, magnitude: bool = False):
     """Yield the repr strings of Re, Im and, if `magnitude`, abs of each row
     of the Hermitian fill of `state.rho`, as one list per component per row.
@@ -500,27 +556,39 @@ def _hermitian_rows(state: SpectralDensityMatrix, *, magnitude: bool = False):
     so what is written is exactly Hermitian whatever the lower triangle holds.
     Row i formats its entries i..n-1 once each; entry (j, i) below the
     diagonal reuses the string of (i, j), sign-flipped for Im, which is
-    exactly `repr(-x)` for finite x (0.0 becomes -0.0). Those strings wait in
-    per-column lists that are handed out, and dropped here, with their row,
-    so about n^2/4 strings per component are alive at most. Abs is
-    hypot(re, im), not np.abs: numpy's vectorized complex abs can be 1 ulp
-    off libm.
+    exactly `repr(-x)` for finite x (0.0 becomes -0.0). Those strings wait
+    for row j in a per-column list; every _PACK_ROWS rows each column's
+    list is joined into one comma-separated string, split again only when
+    its row is handed out. About n^2/4 entries per component wait at most,
+    as a few bytes of packed text each rather than a string object apiece.
+    Abs is `np.hypot` of the float64 Re and Im, not np.abs (numpy's
+    vectorized complex abs differs from it in the last bit); it is within
+    1 ulp of the correctly rounded `math.hypot` but not always equal to it.
     """
     n = state.grid.n
     flips = (False, True, False) if magnitude else (False, True)
-    below = [[[] for _ in range(n)] for _ in flips]
+    packed = [[[] for _ in range(n)] for _ in flips]  # per column, joined blocks of strings
+    below = [[[] for _ in range(n)] for _ in flips]  # per column, strings since the last pack
     for i in range(n):
         upper = state.rho[i, i:]
         parts = [upper.real, upper.imag]
         if magnitude:
             parts.append(np.hypot(upper.real, upper.imag))
+        pack = (i + 1) % _PACK_ROWS == 0
         rows = []
-        for values, flip, columns in zip(parts, flips, below):
+        for values, flip, chunks, columns in zip(parts, flips, packed, below):
             above = _reprs(values)
-            row, columns[i] = columns[i], None
+            row = []
+            for chunk in chunks[i]:
+                row += chunk.split(",")
+            row += columns[i]
             row += above
+            chunks[i] = columns[i] = None
             tail = [s[1:] if s[0] == "-" else "-" + s for s in above[1:]] if flip else above[1:]
             deque(map(list.append, columns[i + 1 :], tail), maxlen=0)
+            if pack:
+                deque(map(list.append, chunks[i + 1 :], map(",".join, columns[i + 1 :])), maxlen=0)
+                columns[i + 1 :] = [[] for _ in range(i + 1, n)]
             rows.append(row)
         yield rows
 
@@ -549,6 +617,17 @@ def _heatmap_text(grid: FrequencyGrid):
 
 
 def density_matrix_from_dict(doc: dict) -> SpectralDensityMatrix:
+    """The state of a density-matrix document: `omega_min`, `d_omega`, `n`
+    and `rho`, n*n [re, im] pairs of finite numbers (a list, or the
+    (n*n, 2) float64 array `_canonical_document` makes).
+
+    Raises DataFormatError for a malformed document, entries that are not
+    pairs of finite numbers, a kernel whose max|K - K^dagger| exceeds
+    HERMITIAN_TOL * max|K|, and a kernel that is not a physical density
+    matrix. The Hermiticity check works a block of rows at a time, and
+    the state holds one copy of the kernel beside `doc`'s, the one
+    `from_kernel` symmetrizes.
+    """
     try:
         omega_min = float(doc["omega_min"])
         d_omega = float(doc["d_omega"])
@@ -572,8 +651,11 @@ def density_matrix_from_dict(doc: dict) -> SpectralDensityMatrix:
     if not np.isfinite(entries).all():
         raise DataFormatError("kernel entries must be finite numbers, found NaN or Infinity")
     kernel = entries.view(np.complex128).reshape(n, n)
-    deviation = float(np.abs(kernel - kernel.conj().T).max(initial=0.0))
-    if deviation > HERMITIAN_TOL * float(np.abs(kernel).max(initial=0.0)):
+    deviation = scale = 0.0  # max|K - K^dagger| and max|K|, a block of rows at a time
+    for rows, mirror in _row_blocks(kernel):
+        deviation = max(deviation, float(np.abs(rows - mirror.conj()).max()))
+        scale = max(scale, float(np.abs(rows).max()))
+    if deviation > HERMITIAN_TOL * scale:
         raise DataFormatError(
             f"kernel entries are not Hermitian: max|K - K^dagger| = {deviation:.3g} exceeds "
             f"{HERMITIAN_TOL:g} * max|K|"
@@ -595,8 +677,11 @@ def save_density_matrix(
     the lower triangle is derived from the upper, so the file is exactly
     Hermitian, and the bytes are those `json.dumps` gives for the same
     document. The heatmap has one row per kernel entry in row-major order,
-    its re and im the very strings of the JSON and abs their hypot, all
-    shortest round-trip decimals.
+    its re and im the very strings of the JSON and abs the `np.hypot` of
+    their values, all shortest round-trip decimals. Beside the state, the
+    save holds one row's strings and the packed text of the entries that
+    wait for their row below the diagonal, at most about n^2/4 per
+    component at some 20 bytes each.
     """
     grid = state.grid
     header = json.dumps(
@@ -626,6 +711,27 @@ _REPR_PAIR = rf"\[{_REPR_FLOAT}, {_REPR_FLOAT}\]"
 _CANONICAL_RHO = re.compile(rf"\[(?:{_REPR_PAIR}(?:, {_REPR_PAIR})*+)?\]")
 _RHO_KEY = '"rho": '
 _DROP_BRACKETS = str.maketrans("", "", "[]")
+# Characters of `rho` text parsed per block: the text's copies stay near
+# 1 MB, so a load holds the file's text and its array, not three texts.
+_PARSE_CHARS = 1 << 20
+
+
+def _parse_pairs(text: str, start: int, stop: int) -> np.ndarray:
+    """The (entries, 2) float64 array of text[start:stop], a `rho` list that
+    matches `_CANONICAL_RHO`, parsed by numpy about _PARSE_CHARS at a time.
+
+    Blocks end between two pairs, so every number is parsed as in one pass.
+    """
+    out = np.empty((text.count("[", start + 1, stop), 2))
+    row, pos, stop = 0, start + 1, stop - 1  # inside the list's brackets
+    while pos < stop:
+        cut = text.find("], [", min(pos + _PARSE_CHARS, stop), stop)
+        end = stop if cut < 0 else cut + 1
+        block = np.fromstring(text[pos:end].translate(_DROP_BRACKETS), sep=",")
+        out[row : row + len(block) // 2] = block.reshape(-1, 2)
+        row += len(block) // 2
+        pos = end + 2  # past the ", " between pairs
+    return out
 
 
 def _canonical_document(text: str) -> dict | None:
@@ -635,8 +741,9 @@ def _canonical_document(text: str) -> dict | None:
     matches `_CANONICAL_RHO` and `<head>"rho": []}` is a JSON object whose
     `rho` is `[]`. It is then valid JSON whose last key is `rho`, so
     `json.loads(text)` gives the same dict; here `rho` comes back as an
-    (entries, 2) float64 array parsed by numpy in one pass, with the values
-    `float()` gives each number, and no Python object per entry.
+    (entries, 2) float64 array parsed by numpy block by block (see
+    `_parse_pairs`), with the values `float()` gives each number, and no
+    Python object per entry.
     """
     key = text.find(_RHO_KEY)
     if key < 0:
@@ -653,7 +760,7 @@ def _canonical_document(text: str) -> dict | None:
         return None
     if not isinstance(doc, dict) or doc.get("rho") != []:
         return None
-    doc["rho"] = np.fromstring(text[start : end - 1].translate(_DROP_BRACKETS), sep=",").reshape(-1, 2)
+    doc["rho"] = _parse_pairs(text, start, end - 1)
     return doc
 
 

@@ -227,7 +227,7 @@ def project_physical(
     2012). Returns the projected state and the smallest pre-projection
     eigenvalue. The result is positive semidefinite by construction, so it is
     symmetrized and renormalized as `from_kernel` does but not diagonalized a
-    second time.
+    second time, and the state holds that kernel without a copy.
     """
     m = np.asarray(rho_raw, dtype=np.complex128)
     if m.shape != (grid.n, grid.n):
@@ -254,7 +254,7 @@ def project_physical(
     kernel = vecs @ vecs_h
     del vecs, vecs_h
     kernel /= grid.d_omega
-    return SpectralDensityMatrix(grid, _hermitize(grid, kernel)), min_eig
+    return SpectralDensityMatrix._owning(grid, _hermitize(grid, kernel)), min_eig
 
 
 def reconstruct_records(

@@ -571,3 +571,80 @@ def test_version_matches_pyproject():
 def test_usage_error_exit_code():
     assert main(["simulate"]) == 2
     assert main([]) == 2
+
+
+# ---------------------------------------------------------------------------
+# outputs that would overwrite each other or an input
+# ---------------------------------------------------------------------------
+
+@pytest.fixture
+def exact_scan(tmp_path):
+    state = _gen(tmp_path, extra=["--n", "16"])
+    csv = tmp_path / "records.csv"
+    assert main(["simulate", str(state), "--out", str(csv), "--exact"]) == 0
+    return state, csv
+
+
+def _snapshot(directory):
+    return {path.name: path.read_bytes() for path in sorted(directory.iterdir()) if path.is_file()}
+
+
+@pytest.mark.parametrize(
+    "flags,names",
+    [
+        (["--out", "x.json", "--heatmap-out", "x.json"], ("--out", "--heatmap-out")),
+        (["--report-out", "x.json", "--out", "x.json"], ("--out", "--report-out")),
+        (["--out", "x.json", "--report-out", "sub/../r.json", "--heatmap-out", "r.json"],
+         ("--report-out", "--heatmap-out")),
+        (["--out", "x.json", "--heatmap-out", "x.report.json"], ("the default report path", "--heatmap-out")),
+        (["--out", "x.json", "--heatmap-out", "x.json.manifest.json"],
+         ("the manifest of --out", "--heatmap-out")),
+        (["--out", "records.csv"], ("--out", "the input records")),
+        (["--out", "x.json", "--heatmap-out", "state.json"], ("--heatmap-out", "--truth")),
+    ],
+    ids=["out-heatmap", "report-out", "resolved", "default-report", "manifest", "records", "truth"],
+)
+def test_reconstruct_refuses_shared_paths(tmp_path, exact_scan, capsys, monkeypatch, flags, names):
+    state, csv = exact_scan
+    (tmp_path / "sub").mkdir()
+    monkeypatch.chdir(tmp_path)
+    before = _snapshot(tmp_path)
+    capsys.readouterr()
+    argv = ["reconstruct", csv.name, "--truth", state.name, *flags]
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert all(name in err for name in names), err
+    assert _snapshot(tmp_path) == before
+
+
+@pytest.mark.parametrize(
+    "flags,names",
+    [
+        (["--out", "state.json"], ("--out", "the input state")),
+        (["--out", "c.csv", "--p-delta-out", "c.csv"], ("--out", "--p-delta-out")),
+        (["--out", "c.csv", "--p-delta-out", "state.json"], ("--p-delta-out", "the input state")),
+    ],
+    ids=["input", "p-delta", "p-delta-input"],
+)
+def test_simulate_refuses_shared_paths(tmp_path, capsys, monkeypatch, flags, names):
+    _gen(tmp_path, extra=["--n", "16"])
+    monkeypatch.chdir(tmp_path)
+    before = _snapshot(tmp_path)
+    capsys.readouterr()
+    assert main(["simulate", "state.json", "--exact", *flags]) == 2
+    err = capsys.readouterr().err
+    assert all(name in err for name in names), err
+    assert _snapshot(tmp_path) == before
+
+
+def test_outputs_that_are_one_file_by_a_link_are_refused(tmp_path, exact_scan, capsys):
+    state, csv = exact_scan
+    out = tmp_path / "x.json"
+    out.write_text("")
+    (tmp_path / "hard.json").hardlink_to(out)
+    (tmp_path / "soft.json").symlink_to(csv)
+    for flags in (["--out", str(out), "--heatmap-out", str(tmp_path / "hard.json")],
+                  ["--out", str(tmp_path / "soft.json")]):
+        assert main(["reconstruct", str(csv), "--n", "16", *flags]) == 2
+    assert out.read_text() == ""
+    assert csv.stat().st_size > 0

@@ -17,6 +17,7 @@ from spectomo import (
     save_density_matrix,
     time_jitter_state,
 )
+from spectomo import core
 from spectomo.core import _canonical_document, density_matrix_from_dict
 from conftest import MALFORMED_RHO, density_matrix_to_dict
 
@@ -170,6 +171,19 @@ def test_canonical_reader_parses_every_finite_float_as_json_does(tmp_path_factor
     assert _outcome(load_density_matrix, path) == _outcome(_reference_load, path)
 
 
+@pytest.mark.parametrize("parse_chars", [1, 7, 40])
+@settings(max_examples=50, deadline=None)
+@given(pairs=st.lists(st.tuples(finite_floats, finite_floats), max_size=20))
+def test_canonical_reader_parses_in_blocks_as_in_one_piece(parse_chars, pairs):
+    # Blocks of 1, 7 or 40 characters end after every pair, after a few, or not at all.
+    text = json.dumps({"n": 1, "rho": pairs})
+    with pytest.MonkeyPatch.context() as m:
+        m.setattr(core, "_PARSE_CHARS", parse_chars)
+        doc = _canonical_document(text)
+    expected = np.array(json.loads(text)["rho"], dtype=np.float64).reshape(-1, 2)
+    assert doc["rho"].tobytes() == expected.tobytes()
+
+
 small = st.one_of(st.sampled_from(EDGE_FLOATS[:6]), st.floats(-0.05, 0.05))
 
 
@@ -202,26 +216,80 @@ def unchecked_states(draw):
     return _unchecked_state(grid, np.array(values).view(np.complex128).reshape(n, n))
 
 
+def _expected_heatmap_rows(state, pairs):
+    """The heatmap cells of `pairs`, the row-major [re, im] list of the
+    Hermitian fill, as the writer spells them: abs is `np.hypot` of the same
+    float64 values, which is within 1 ulp of the correctly rounded
+    `math.hypot` but not always equal to it (0.429 + 0.759j is 1 ulp below)."""
+    n, grid = state.grid.n, state.grid
+    values = np.array(pairs, dtype=np.float64).reshape(-1, 2)
+    with np.errstate(over="ignore"):  # abs of entries near the float limit is inf
+        magnitudes = np.hypot(values[:, 0], values[:, 1]).tolist()
+    for (re, im), mag in zip(pairs, magnitudes):
+        exact = math.hypot(re, im)
+        assert mag == exact or abs(mag - exact) <= math.ulp(exact)
+    return [
+        [str(k // n), str(k % n), repr(grid.omega(k // n)), repr(grid.omega(k % n)),
+         repr(re), repr(im), repr(mag)]
+        for k, ((re, im), mag) in enumerate(zip(pairs, magnitudes))
+    ]
+
+
+def _assert_writes_the_hermitian_fill(directory, state, heatmap=True):
+    path = directory / "fill.json"
+    heatmap_path = directory / "fill.csv" if heatmap else None
+    with np.errstate(over="ignore"):  # abs of entries near the float limit is inf
+        save_density_matrix(path, state, units="dimensionless", heatmap=heatmap_path)
+    doc = density_matrix_to_dict(state, "dimensionless")
+    assert path.read_text() == json.dumps(doc) + "\n"
+    if heatmap:
+        lines = heatmap_path.read_text().split("\n")
+        assert lines[0] == "i,j,omega_i,omega_j,re,im,abs"
+        assert lines[-1] == ""
+        assert [line.split(",") for line in lines[1:-1]] == _expected_heatmap_rows(state, doc["rho"])
+
+
 @settings(max_examples=150, deadline=None)
 @given(state=unchecked_states())
 @example(state=_unchecked_state(FrequencyGrid(0.0, 1.0, 2), np.array([[-0.0, 5e-324 - 0.0j], [1e308j, 0.0]])))
+@example(state=_unchecked_state(FrequencyGrid(0.0, 1.0, 2), np.array([[0.429 + 0.759j, 0.429 + 0.759j], [0.0, 1.0]])))
 def test_one_pass_writes_the_hermitian_fill(tmp_path_factory, state):
-    path = tmp_path_factory.getbasetemp() / "fill.json"
-    heatmap = tmp_path_factory.getbasetemp() / "fill.csv"
-    with np.errstate(over="ignore"):  # abs of entries near the float limit is inf
-        save_density_matrix(path, state, units="dimensionless", heatmap=heatmap)
-    doc = density_matrix_to_dict(state, "dimensionless")
-    assert path.read_text() == json.dumps(doc) + "\n"
-    n, grid = state.grid.n, state.grid
-    lines = heatmap.read_text().split("\n")
-    assert lines[0] == "i,j,omega_i,omega_j,re,im,abs"
-    assert lines[-1] == ""
-    expected = [
-        [str(k // n), str(k % n), repr(grid.omega(k // n)), repr(grid.omega(k % n)),
-         repr(re), repr(im), repr(math.hypot(re, im))]
-        for k, (re, im) in enumerate(doc["rho"])
-    ]
-    assert [line.split(",") for line in lines[1:-1]] == expected
+    _assert_writes_the_hermitian_fill(tmp_path_factory.getbasetemp(), state)
+
+
+@st.composite
+def packed_states(draw):
+    # Up to 12 rows, so that packing every 1, 2 or 3 rows leaves blocks of
+    # every length behind; the kernel is either exactly Hermitian or any.
+    n = draw(st.integers(2, 12))
+    grid = FrequencyGrid(draw(st.floats(-1e3, 1e3)), draw(st.floats(1e-3, 10.0)), n)
+    values = draw(st.lists(finite_floats, min_size=2 * n * n, max_size=2 * n * n))
+    kernel = np.array(values).view(np.complex128).reshape(n, n)
+    if draw(st.booleans()):
+        lower = np.tril_indices(n, -1)
+        kernel[lower] = kernel.T[lower].conj()
+        kernel[np.diag_indices(n)] = kernel.diagonal().real
+        assert np.array_equal(kernel, kernel.conj().T)
+    return _unchecked_state(grid, kernel)
+
+
+@pytest.mark.parametrize("pack_rows", [1, 2, 3])
+@settings(max_examples=60, deadline=None)
+@given(state=packed_states(), heatmap=st.booleans())
+def test_writer_bytes_across_packing_boundaries(tmp_path_factory, pack_rows, state, heatmap):
+    with pytest.MonkeyPatch.context() as m:
+        m.setattr(core, "_PACK_ROWS", pack_rows)
+        _assert_writes_the_hermitian_fill(tmp_path_factory.getbasetemp(), state, heatmap)
+
+
+def test_writer_bytes_at_the_packing_interval(tmp_path):
+    # n = 97 packs three times at 32 rows and leaves one row unpacked.
+    assert core._PACK_ROWS == 32
+    rng = np.random.default_rng(97)
+    n = 97
+    values = rng.normal(size=2 * n * n) * 10.0 ** rng.integers(-20, 20, size=2 * n * n)
+    state = _unchecked_state(FrequencyGrid(-3.0, 0.0625, n), values.view(np.complex128).reshape(n, n))
+    _assert_writes_the_hermitian_fill(tmp_path, state)
 
 
 def _saved_text(tmp_path, state):

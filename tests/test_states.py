@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from spectomo import (
+    DataFormatError,
     DiagnosticWarning,
     GridMismatchError,
     PureSpectralAmplitude,
@@ -18,7 +19,9 @@ from spectomo import (
     time_jitter_state,
     validate,
 )
+from spectomo import core
 from spectomo.cli import main
+from spectomo.core import HERMITIAN_TOL, density_matrix_from_dict
 from conftest import random_contained_state
 
 
@@ -316,6 +319,53 @@ def test_construction_rejects_unphysical(grid64):
     indefinite /= np.trace(indefinite).real * grid64.d_omega
     with pytest.raises(ValueError, match="positive semidefinite"):
         SpectralDensityMatrix.from_kernel(grid64, indefinite, renormalize=False)
+
+
+# ---------------------------------------------------------------------------
+# checks and symmetrization a strip of rows at a time
+# ---------------------------------------------------------------------------
+
+def _kernels(rng, n):
+    """Generic, exactly Hermitian, wide-ranging and signed-zero n x n kernels."""
+    a = rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n))
+    yield a
+    yield a + a.conj().T
+    yield a * 10.0 ** rng.integers(-150, 150, size=(n, n))
+    signs = rng.choice([-1.0, 1.0], size=(2, n, n))
+    yield signs[0] * np.round(a.real) * (rng.random((n, n)) < 0.5) + 1j * signs[1] * np.round(a.imag)
+
+
+@pytest.mark.parametrize("check_rows", [1, 3, 64])
+def test_strip_checks_equal_whole_array_expressions(monkeypatch, check_rows):
+    monkeypatch.setattr(core, "_CHECK_ROWS", check_rows)
+    rng = np.random.default_rng(check_rows)
+    for n in (2, 5, 64, 67):
+        grid = make_grid(0.0, 1.0, n)
+        for kernel in _kernels(rng, n):
+            whole = kernel.copy()
+            np.add(whole, whole.conj().T, out=whole)
+            whole /= 2.0
+            strips = core._hermitize(grid, kernel.copy(), renormalize=False)
+            assert strips.tobytes() == whole.tobytes()  # signed zeros included
+            for m in (kernel, strips):
+                assert core._is_exactly_hermitian(m) == np.array_equal(m, m.conj().T)
+            deviation = float(np.abs(kernel - kernel.conj().T).max())
+            if deviation > HERMITIAN_TOL * float(np.abs(kernel).max()):
+                doc = {"omega_min": 0.0, "d_omega": grid.d_omega, "n": n, "rho": kernel.view(np.float64).reshape(-1, 2)}
+                with pytest.raises(DataFormatError) as excinfo:
+                    density_matrix_from_dict(doc)
+                assert str(excinfo.value) == (
+                    f"kernel entries are not Hermitian: max|K - K^dagger| = {deviation:.3g} exceeds "
+                    f"{HERMITIAN_TOL:g} * max|K|"
+                )
+
+
+def test_from_kernel_state_owns_its_kernel(grid64):
+    kernel = np.array(density_from_pure(gaussian_pure(grid64, 0.0, 1.0)).rho)
+    state = SpectralDensityMatrix.from_kernel(grid64, kernel, renormalize=False)
+    # The state holds the copy it symmetrized; the caller's array stays its own.
+    assert not np.shares_memory(state.rho, kernel)
+    assert kernel.flags.writeable and not state.rho.flags.writeable
 
 
 # ---------------------------------------------------------------------------
