@@ -166,23 +166,30 @@ def cmd_gen_state(args) -> int:
 # simulate
 # ---------------------------------------------------------------------------
 
+def _parse_gamma(text: str) -> complex:
+    try:
+        return complex(text)
+    except ValueError:
+        raise ValueError(f"--gamma must be a complex number such as '0.8' or '0.8+0.3j', got {text!r}") from None
+
+
 def cmd_simulate(args) -> int:
     written = {"--out": args.out}
     if args.p_delta_out:
         written["--p-delta-out"] = args.p_delta_out
     _refuse_shared_paths(written, {"the input state": args.state})
+    config = InterferometerConfig(
+        xi=args.xi,
+        gamma=_parse_gamma(args.gamma),
+        compensate_loss=True,
+        detector_efficiency=args.efficiency,
+    )
     state = load_density_matrix(args.state)
     grid = state.grid
     max_delta_index = grid.n - 1 if args.max_delta_index is None else args.max_delta_index
     advisory = args.max_delta
     if advisory is None and args.units == "si":
         advisory = SI_MAX_DELTA_DEFAULT
-    config = InterferometerConfig(
-        xi=args.xi,
-        gamma=complex(args.gamma),
-        compensate_loss=True,
-        detector_efficiency=args.efficiency,
-    )
     with capture() as diags:
         plan = plan_scan(grid, max_delta_index, args.shots, args.seed, max_delta_advisory=advisory)
         records = simulate_counts(state, plan, config, exact=args.exact)
@@ -230,8 +237,8 @@ def cmd_reconstruct(args) -> int:
     _refuse_shared_paths(written, read)
     truth = load_density_matrix(args.truth) if args.truth else None
     grid = truth.grid if truth is not None else make_grid(args.center, args.span, args.n)
-    records = read_records(args.records, grid)
-    result = reconstruct_records(records, grid, min_visibility=args.min_visibility)
+    # No reference kept here: `reconstruct_records` frees the unpooled table once pooled.
+    result = reconstruct_records(read_records(args.records, grid), grid, min_visibility=args.min_visibility)
     doc = report(result, truth)
     save_density_matrix(out, result.rho_hat, units=_units_label(args.units), heatmap=heatmap)
     report_path.write_text(json.dumps(doc, indent=2) + "\n")

@@ -17,6 +17,7 @@ convention fixes all unit bookkeeping below.
 from __future__ import annotations
 
 import json
+import locale
 import math
 import re
 from collections import deque
@@ -703,85 +704,93 @@ def save_density_matrix(
 
 
 # The `rho` value as `save_density_matrix` writes it: [re, im] pairs of finite
-# floats exactly as `float.__repr__` spells them, each a valid JSON number. The
-# possessive repeat `*+` (Python 3.11) keeps no backtracking state per pair; a
-# plain `*` held about 0.9 GB matching an n=1024 file.
+# floats exactly as `float.__repr__` spells them, each a valid JSON number,
+# matched on the file's bytes (such text is ASCII). The possessive repeat `*+`
+# (Python 3.11) keeps no backtracking state per pair; a plain `*` held about
+# 0.9 GB matching an n=1024 file.
 _REPR_FLOAT = r"-?(?:0|[1-9][0-9]*)(?:\.[0-9]+(?:e[-+][0-9]+)?|e[-+][0-9]+)"
 _REPR_PAIR = rf"\[{_REPR_FLOAT}, {_REPR_FLOAT}\]"
-_CANONICAL_RHO = re.compile(rf"\[(?:{_REPR_PAIR}(?:, {_REPR_PAIR})*+)?\]")
-_RHO_KEY = '"rho": '
-_DROP_BRACKETS = str.maketrans("", "", "[]")
-# Characters of `rho` text parsed per block: the text's copies stay near
-# 1 MB, so a load holds the file's text and its array, not three texts.
-_PARSE_CHARS = 1 << 20
+_CANONICAL_RHO = re.compile(rf"\[(?:{_REPR_PAIR}(?:, {_REPR_PAIR})*+)?\]".encode())
+_RHO_KEY = b'"rho": '
+# Bytes of `rho` text parsed per block: the text's copies stay near 256 kB,
+# so a load holds the file's bytes and its array, not a second text.
+_PARSE_CHARS = 1 << 18
 
 
-def _parse_pairs(text: str, start: int, stop: int) -> np.ndarray:
-    """The (entries, 2) float64 array of text[start:stop], a `rho` list that
-    matches `_CANONICAL_RHO`, parsed by numpy about _PARSE_CHARS at a time.
+def _parse_pairs(data: bytes, start: int, stop: int) -> np.ndarray:
+    """The (entries, 2) float64 array of data[start:stop], a `rho` list that
+    matches `_CANONICAL_RHO`, parsed by numpy about _PARSE_CHARS bytes at a time.
 
     Blocks end between two pairs, so every number is parsed as in one pass.
     """
-    out = np.empty((text.count("[", start + 1, stop), 2))
+    out = np.empty((data.count(b"[", start + 1, stop), 2))
     row, pos, stop = 0, start + 1, stop - 1  # inside the list's brackets
     while pos < stop:
-        cut = text.find("], [", min(pos + _PARSE_CHARS, stop), stop)
+        cut = data.find(b"], [", min(pos + _PARSE_CHARS, stop), stop)
         end = stop if cut < 0 else cut + 1
-        block = np.fromstring(text[pos:end].translate(_DROP_BRACKETS), sep=",")
+        block = np.fromstring(data[pos:end].translate(None, b"[]"), sep=",")
         out[row : row + len(block) // 2] = block.reshape(-1, 2)
         row += len(block) // 2
         pos = end + 2  # past the ", " between pairs
     return out
 
 
-def _canonical_document(text: str) -> dict | None:
-    """The document of a text laid out as `save_density_matrix` writes it, else None.
+def _canonical_document(data: bytes, encoding: str = "utf-8") -> dict | None:
+    """The document of a file laid out as `save_density_matrix` writes it, else None.
 
-    Such a text is `<head>"rho": <body>}` plus JSON whitespace, where `<body>`
-    matches `_CANONICAL_RHO` and `<head>"rho": []}` is a JSON object whose
-    `rho` is `[]`. It is then valid JSON whose last key is `rho`, so
-    `json.loads(text)` gives the same dict; here `rho` comes back as an
-    (entries, 2) float64 array parsed by numpy block by block (see
-    `_parse_pairs`), with the values `float()` gives each number, and no
-    Python object per entry.
+    `data` is the file's bytes, read as text in `encoding` (an
+    ASCII-compatible one). Such a file is `<head>"rho": <body>}` plus JSON
+    whitespace, where `<body>` matches `_CANONICAL_RHO` and `<head>"rho": []}`
+    is a JSON object whose `rho` is `[]`. It is then valid JSON whose last
+    key is `rho`, so `json.loads` of its text gives the same dict; here only
+    the head is decoded, and `rho` comes back as an (entries, 2) float64
+    array parsed by numpy block by block from the bytes (see `_parse_pairs`),
+    with the values `float()` gives each number, and no Python object per
+    entry.
     """
-    key = text.find(_RHO_KEY)
+    key = data.find(_RHO_KEY)
     if key < 0:
         return None
     start = key + len(_RHO_KEY)
-    end = len(text)
-    while end > start and text[end - 1] in " \t\n\r":
+    end = len(data)
+    while end > start and data[end - 1] in b" \t\n\r":
         end -= 1
-    if end <= start or text[end - 1] != "}" or not _CANONICAL_RHO.fullmatch(text, start, end - 1):
+    if end <= start or data[end - 1 : end] != b"}" or not _CANONICAL_RHO.fullmatch(data, start, end - 1):
         return None
     try:
-        doc = json.loads(text[:start] + "[]}")
-    except json.JSONDecodeError:
+        doc = json.loads(data[:start].decode(encoding) + "[]}")
+    except (UnicodeDecodeError, json.JSONDecodeError):
         return None
     if not isinstance(doc, dict) or doc.get("rho") != []:
         return None
-    doc["rho"] = _parse_pairs(text, start, end - 1)
+    doc["rho"] = _parse_pairs(data, start, end - 1)
     return doc
 
 
 def load_density_matrix(path) -> SpectralDensityMatrix:
     """Read a density-matrix JSON file: any JSON object `density_matrix_from_dict` accepts.
 
-    Text laid out as `save_density_matrix` writes it skips `json.loads` for
-    its `rho` list (see `_canonical_document`); any other text is read by
+    The file is read as bytes. Text laid out as `save_density_matrix`
+    writes it skips `json.loads` for its `rho` list and is never decoded
+    whole (see `_canonical_document`); any other text is decoded as
+    `Path.read_text` decodes it, universal newlines included, and read by
     `json.loads`. Both give bit-identical kernels and the same errors.
     """
-    try:
-        text = Path(path).read_text()
-    except UnicodeDecodeError as exc:
-        raise DataFormatError(f"{path}: not {exc.encoding} text ({exc.reason})") from exc
-    doc = _canonical_document(text)
+    encoding = locale.getpreferredencoding(False)  # what `Path.read_text` uses
+    data = Path(path).read_bytes()
+    doc = _canonical_document(data, encoding)
     if doc is None:
         try:
-            doc = json.loads(text)
+            data = data.decode(encoding)  # the text takes the bytes' place
+        except UnicodeDecodeError as exc:
+            raise DataFormatError(f"{path}: not {exc.encoding} text ({exc.reason})") from exc
+        if "\r" in data:  # universal newlines, so that error positions match
+            data = data.replace("\r\n", "\n").replace("\r", "\n")
+        try:
+            doc = json.loads(data)
         except json.JSONDecodeError as exc:
             raise DataFormatError(f"{path}: not valid JSON: {exc}") from exc
         if not isinstance(doc, dict):
             raise DataFormatError(f"{path}: expected a JSON object")
-    del text  # free the text before the kernel checks
+    del data  # free the file's text before the kernel checks
     return density_matrix_from_dict(doc)

@@ -24,6 +24,7 @@ support-clipping diagnostic above CLIP_WARN (`warn_support_clipping`).
 
 from __future__ import annotations
 
+import cmath
 from dataclasses import dataclass
 
 import numpy as np
@@ -56,7 +57,8 @@ class InterferometerConfig:
     success rate by xi * detector_efficiency. gamma is the (possibly complex)
     transverse-mode overlap; |gamma| scales the fringe visibility. The
     post-selected model holds only for xi = 1 or matched loss, so xi < 1
-    without `compensate_loss` is rejected at construction.
+    without `compensate_loss` is rejected at construction. xi = 0 is
+    rejected too: it post-selects no shot at all. gamma must be finite.
     """
 
     xi: float = 1.0
@@ -65,8 +67,10 @@ class InterferometerConfig:
     detector_efficiency: float = 1.0
 
     def __post_init__(self):
-        if not 0.0 <= self.xi <= 1.0:
-            raise ValueError(f"xi must be in [0, 1], got {self.xi}")
+        if not 0.0 < self.xi <= 1.0:
+            raise ValueError(f"xi must be in (0, 1], got {self.xi}")
+        if not cmath.isfinite(self.gamma):
+            raise ValueError(f"gamma must be finite, got {self.gamma}")
         if not abs(self.gamma) <= 1.0 + 1e-12:
             raise ValueError(f"|gamma| must be <= 1, got {abs(self.gamma)}")
         if not 0.0 < self.detector_efficiency <= 1.0:

@@ -63,6 +63,14 @@ class CrossSectionEstimate:
 
 @dataclass
 class ReconstructionResult:
+    """What `reconstruct_records` returns.
+
+    `rho_pre_projection` is the raw Hermitian estimate, not made physical.
+    It is not the array `project_physical` was given (that one is freed
+    before the eigendecomposition) but a second assembly of the same
+    inverted bands, bit for bit equal to it.
+    """
+
     rho_hat: SpectralDensityMatrix
     gamma_hat: complex
     pre_projection_min_eigenvalue: float
@@ -228,6 +236,11 @@ def project_physical(
     eigenvalue. The result is positive semidefinite by construction, so it is
     symmetrized and renormalized as `from_kernel` does but not diagonalized a
     second time, and the state holds that kernel without a copy.
+
+    `rho_raw` is never modified. The function drops its own references to
+    it once the Hermitian part is formed, so a caller that passes its only
+    reference (`project_physical(assemble(...), grid)`) frees the raw
+    kernel before `eigh` runs.
     """
     m = np.asarray(rho_raw, dtype=np.complex128)
     if m.shape != (grid.n, grid.n):
@@ -235,6 +248,7 @@ def project_physical(
     # In place where the arithmetic allows, with the operations and their
     # order unchanged, so that few n x n temporaries are alive at once.
     herm = hermitian_part(grid, m, renormalize=False)
+    del m, rho_raw
     herm *= grid.d_omega
     w, vecs = np.linalg.eigh(herm)
     del herm
@@ -270,18 +284,32 @@ def reconstruct_records(
     forward transform of the projected estimate (RMS over the delay grid).
     Diagnostics emitted anywhere in the pipeline are collected on the result;
     other warnings pass on to the caller.
+
+    Memory is handed on stage by stage: the unpooled table is released once
+    `pool_records` returns, and the pooled one once the cross-sections are
+    estimated, so a caller that passes its only reference to `records` holds
+    one table at a time. The assembled estimate goes straight into
+    `project_physical`, which frees it before `eigh`; `rho_pre_projection`
+    is assembled again from the kept (bands, n) array at the end, with the
+    second assembly's diagnostics discarded, so every diagnostic is reported
+    once.
     """
     with diagnostics.capture() as caught:
         cells = as_table(pool_records(records))
+        del records
         gamma_hat = calibrate_gamma(cells)
         estimate = estimate_cross_section(cells, gamma_hat, grid, min_visibility=min_visibility)
+        del cells
         deltas = estimate.delta_indices.tolist()
-        rho_raw = assemble(dict(zip(deltas, invert_cross_section(estimate, grid))), grid)
-        rho_hat, min_eig = project_physical(rho_raw, grid)
+        bands = invert_cross_section(estimate, grid)
+        rho_hat, min_eig = project_physical(assemble(dict(zip(deltas, bands)), grid), grid)
         residuals = [
             math.sqrt(float(np.vdot(diff, diff).real) / grid.n)
             for diff in estimate.g_of_tau - cross_section_transform(rho_hat, deltas)
         ]
+        del estimate
+        with diagnostics.capture():  # the first assembly reported them
+            rho_raw = assemble(dict(zip(deltas, bands)), grid)
     return ReconstructionResult(
         rho_hat=rho_hat,
         gamma_hat=gamma_hat,

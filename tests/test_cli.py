@@ -3,12 +3,14 @@ import math
 import os
 import subprocess
 import sys
+import weakref
 from pathlib import Path
 
 import numpy as np
 import pytest
 
 import spectomo
+from spectomo import cli, reconstruction
 from spectomo import hs_distance, load_density_matrix, purity
 from spectomo.cli import main
 from conftest import MALFORMED_RHO
@@ -142,11 +144,19 @@ def test_simulate_rejects_negative_seed(tmp_path, capsys, mode):
 @pytest.mark.parametrize(
     "flag, value, message",
     [
-        ("--gamma", "nan", "|gamma| must be <= 1, got nan"),
+        ("--gamma", "nan", "gamma must be finite, got (nan+0j)"),
+        ("--gamma", "inf", "gamma must be finite, got (inf+0j)"),
+        ("--gamma", "1-infj", "gamma must be finite, got (1-infj)"),
+        ("--gamma", "abc", "--gamma must be a complex number such as '0.8' or '0.8+0.3j', got 'abc'"),
+        ("--gamma", "", "--gamma must be a complex number such as '0.8' or '0.8+0.3j', got ''"),
+        ("--xi", "0", "xi must be in (0, 1], got 0.0"),
         ("--max-delta", "nan", "max_delta must be positive, got nan"),
         ("--max-delta", "-1", "max_delta must be positive, got -1.0"),
     ],
-    ids=["gamma-nan", "max-delta-nan", "max-delta-negative"],
+    ids=[
+        "gamma-nan", "gamma-inf", "gamma-imaginary-inf", "gamma-malformed", "gamma-empty", "xi-zero",
+        "max-delta-nan", "max-delta-negative",
+    ],
 )
 def test_simulate_rejects_bad_hardware_values(tmp_path, capsys, flag, value, message, mode):
     state = _gen(tmp_path, extra=["--n", "16"])
@@ -154,6 +164,13 @@ def test_simulate_rejects_bad_hardware_values(tmp_path, capsys, flag, value, mes
     assert main(argv) == 2
     assert f"error: {message}" in capsys.readouterr().err
     assert not (tmp_path / "x.csv").exists()
+
+
+def test_simulate_rejects_bad_arguments_before_reading_the_state(tmp_path, capsys):
+    missing = tmp_path / "nope.json"
+    for flag, value in (("--gamma", "abc"), ("--xi", "0")):
+        assert main(["simulate", str(missing), "--out", str(tmp_path / "x.csv"), flag, value]) == 2
+        assert flag.lstrip("-") in capsys.readouterr().err
 
 
 def test_simulate_missing_state_file(tmp_path):
@@ -173,6 +190,28 @@ def _pipeline(tmp_path, kind="gaussian", gen_extra=(), sim_extra=("--exact",), n
         ["reconstruct", str(csv), "--out", str(out), "--truth", str(state), "--json"]
     )
     return state, out, code
+
+
+def test_reconstruct_keeps_no_reference_to_the_unpooled_table(tmp_path, monkeypatch):
+    state = _gen(tmp_path, extra=["--n", "16"])
+    csv = tmp_path / "records.csv"
+    assert main(["simulate", str(state), "--out", str(csv), "--exact"]) == 0
+    read, calibrate = cli.read_records, reconstruction.calibrate_gamma
+    refs, alive = [], []
+
+    def watched_read(path, grid):
+        table = read(path, grid)
+        refs.append(weakref.ref(table.counts_a))
+        return table
+
+    def watched_calibrate(cells):
+        alive.append(refs[0]() is not None)
+        return calibrate(cells)
+
+    monkeypatch.setattr(cli, "read_records", watched_read)
+    monkeypatch.setattr(reconstruction, "calibrate_gamma", watched_calibrate)
+    assert main(["reconstruct", str(csv), "--out", str(tmp_path / "rho.json"), "--n", "16"]) == 0
+    assert alive == [False]
 
 
 def test_reconstruct_round_trip(tmp_path, capsys):

@@ -323,8 +323,12 @@ def test_config_validation():
         InterferometerConfig(xi=1.2)
     with pytest.raises(ValueError):
         InterferometerConfig(gamma=1.5)
-    with pytest.raises(ValueError, match="got nan"):
-        InterferometerConfig(gamma=complex("nan"))
+    for gamma in (complex("nan"), float("inf"), complex(0.5, float("-inf")), complex("nan+0.1j")):
+        with pytest.raises(ValueError, match="gamma must be finite"):
+            InterferometerConfig(gamma=gamma)
+    for xi in (0.0, -0.0, float("nan")):
+        with pytest.raises(ValueError, match=r"xi must be in \(0, 1\]"):
+            InterferometerConfig(xi=xi, compensate_loss=True)
     with pytest.raises(ValueError, match="compensate_loss"):
         InterferometerConfig(xi=0.7)
     with pytest.raises(ValueError):

@@ -161,7 +161,7 @@ def _n2_text(d_omega, pairs):
 @example(values=EDGE_FLOATS[2:])
 def test_canonical_reader_parses_every_finite_float_as_json_does(tmp_path_factory, values):
     text = _n2_text(0.5, [values[k : k + 2] for k in range(0, 8, 2)])
-    doc = _canonical_document(text)
+    doc = _canonical_document(text.encode())
     assert doc is not None
     expected = np.array(json.loads(text)["rho"], dtype=np.float64)
     assert doc["rho"].dtype == np.float64
@@ -179,7 +179,7 @@ def test_canonical_reader_parses_in_blocks_as_in_one_piece(parse_chars, pairs):
     text = json.dumps({"n": 1, "rho": pairs})
     with pytest.MonkeyPatch.context() as m:
         m.setattr(core, "_PARSE_CHARS", parse_chars)
-        doc = _canonical_document(text)
+        doc = _canonical_document(text.encode())
     expected = np.array(json.loads(text)["rho"], dtype=np.float64).reshape(-1, 2)
     assert doc["rho"].tobytes() == expected.tobytes()
 
@@ -310,7 +310,7 @@ NON_CANONICAL = {
 def test_loader_reads_other_layouts_as_json_does(tmp_path, grid64, layout):
     state = time_jitter_state(gaussian_pure(grid64, 0.5, 1.0, chirp=0.4), 0.7)
     text = NON_CANONICAL[layout](_saved_text(tmp_path, state))
-    assert _canonical_document(text) is None
+    assert _canonical_document(text.encode()) is None
     path = tmp_path / "other.json"
     path.write_text(text)
     np.testing.assert_array_equal(load_density_matrix(path).rho, state.rho)
@@ -320,7 +320,7 @@ def test_loader_reads_other_layouts_as_json_does(tmp_path, grid64, layout):
 def test_loader_reads_integer_entries(tmp_path):
     # [[1, 0], [0, 1]] on d_omega = 0.5 has unit trace.
     text = json.dumps({"omega_min": 0.0, "d_omega": 0.5, "n": 2, "rho": [[1, 0], [0, 0], [0, 0], [1, 0]]})
-    assert _canonical_document(text) is None
+    assert _canonical_document(text.encode()) is None
     path = tmp_path / "int.json"
     path.write_text(text)
     np.testing.assert_array_equal(load_density_matrix(path).rho, np.eye(2))
@@ -356,6 +356,41 @@ def test_loader_rejects_raw_text_edits_as_json_does(tmp_path, grid64, case):
     assert kind == "DataFormatError"
     assert (kind, message) == _outcome(_reference_load, path)
     assert ("finite" if case == "overflow" else "not valid JSON") in message
+
+
+def test_loader_decodes_a_non_ascii_head_as_read_text_does(tmp_path, grid64):
+    text = _saved_text(tmp_path, density_from_pure(gaussian_pure(grid64, 0.0, 1.0)))
+    text = text.replace('"units": "SI-rad-per-s"', '"units": "rad/\u00b5s \u2013 \u00e9t\u00e9"', 1)
+    path = tmp_path / "non-ascii.json"
+    path.write_text(text, encoding="utf-8")
+    assert _canonical_document(path.read_bytes()) is not None
+    assert load_density_matrix(path).rho.tobytes() == _reference_load(path).rho.tobytes()
+
+
+@pytest.mark.parametrize("where", ["head", "rho", "tail"])
+def test_loader_rejects_undecodable_bytes_as_read_text_does(tmp_path, grid64, where):
+    text = _saved_text(tmp_path, density_from_pure(gaussian_pure(grid64, 0.0, 1.0)))
+    data = text.encode()
+    offset = {"head": data.index(b"SI-rad"), "rho": data.index(b"[[") + 2, "tail": len(data) - 1}[where]
+    path = tmp_path / "undecodable.json"
+    path.write_bytes(data[:offset] + b"\xff" + data[offset + 1 :])
+    with pytest.raises(UnicodeDecodeError) as excinfo:
+        path.read_text()
+    expected = f"{path}: not {excinfo.value.encoding} text ({excinfo.value.reason})"
+    assert _outcome(load_density_matrix, path) == ("DataFormatError", expected)
+
+
+@pytest.mark.parametrize("newline", ["\r\n", "\r"], ids=["crlf", "cr"])
+def test_loader_reports_errors_at_read_text_positions(tmp_path, grid64, newline):
+    # The text is decoded with universal newlines, so an error's line,
+    # column and character offset are those `json.loads(path.read_text())` gives.
+    text = _saved_text(tmp_path, density_from_pure(gaussian_pure(grid64, 0.0, 1.0)))
+    text = json.dumps(json.loads(text), indent=1).replace("\n", newline).replace("]\r", "],\r", 1)
+    path = tmp_path / "newlines.json"
+    path.write_bytes(text.encode())
+    kind, message = _outcome(load_density_matrix, path)
+    assert (kind, message) == _outcome(_reference_load, path)
+    assert "line " in message and "(char " in message
 
 
 def test_loader_passes_json_loads_only_the_header(tmp_path, monkeypatch, standard_states):

@@ -30,10 +30,18 @@ strip of rows at a time, and 8.8 MB above it with whole-matrix temporaries
 and a copy in the constructor. LAPACK's own copy inside `eigvalsh` is
 allocated outside tracemalloc's view. `density_matrix_from_dict` reads the
 same above the document's own array (8.8 MB before). `load_density_matrix`
-of the 12.9 MB text of that state peaks where `Path.read_text` holds the
-bytes and the str at once, 25.9 MB; parsing `rho` in one piece peaked at
-38.8 MB, three copies of the text. Bound: half a kernel above the state's
-for the first two, half a kernel above two texts for the load.
+of the 12.9 MB text of that state peaks at 17.7 MB: the file's bytes, the
+(entries, 2) array parsed from them and one 256 kB block of text. Decoded
+by `Path.read_text`, which holds the bytes and the str at once, it peaked
+at 25.9 MB; parsing `rho` in one piece at 38.8 MB, three copies of the
+text. Bound: half a kernel above the state's for the first two, half a
+kernel above the text and the parsed array for the load.
+
+`reconstruct_records` of an exact n=512 scan of that state with 16 bands
+peaks 12.9 MB above its start when the assembled estimate is handed to
+`project_physical`, which frees it before `eigh`, and 18.0 MB when it is
+kept beside the Hermitian copy that `eigh` reads. Bound 14.5 MB. LAPACK's
+buffers inside `eigh` are allocated outside tracemalloc's view.
 """
 
 import gc
@@ -51,6 +59,7 @@ from spectomo import (
     make_grid,
     plan_scan,
     read_records,
+    reconstruct_records,
     save_density_matrix,
     simulate_counts,
     time_jitter_state,
@@ -69,6 +78,8 @@ SAVE_512_OVER_STATE_MB = 8.0
 SAVE_KEPT_MB = 0.5
 KERNEL_N = 512
 EXTRA_KERNELS = 0.5  # above the state's own kernel
+RECONSTRUCT_BANDS = 16
+RECONSTRUCT_MB = 14.5
 
 
 def _peak_mb(fn):
@@ -171,14 +182,25 @@ def test_loader_holds_one_copy_of_the_kernel(kernel_state, tmp_path):
     state, kernel_mb = kernel_state
     path = tmp_path / "rho.json"
     save_density_matrix(path, state)
-    text = path.read_text()
-    text_mb = len(text) / 1e6
-    doc = _canonical_document(text)
-    del text
+    data = path.read_bytes()
+    text_mb = len(data) / 1e6
+    doc = _canonical_document(data)
+    del data
     loaded, peak, _ = _peak_mb(lambda: density_matrix_from_dict(doc))
     np.testing.assert_array_equal(loaded.rho, state.rho)
     assert peak - kernel_mb < EXTRA_KERNELS * kernel_mb
     del doc
     loaded, peak, _ = _peak_mb(lambda: load_density_matrix(path))
     np.testing.assert_array_equal(loaded.rho, state.rho)
-    assert peak - 2 * text_mb < EXTRA_KERNELS * kernel_mb
+    # The file's bytes and the (entries, 2) array parsed from them, one kernel's size.
+    assert peak - text_mb - kernel_mb < EXTRA_KERNELS * kernel_mb
+
+
+def test_reconstruct_hands_the_raw_estimate_to_the_projection(kernel_state):
+    state, _ = kernel_state
+    plan = plan_scan(state.grid, RECONSTRUCT_BANDS - 1, 20000, 7)
+    with capture():
+        table = simulate_counts(state, plan, InterferometerConfig(gamma=0.9), exact=True)
+    result, peak, _ = _peak_mb(lambda: reconstruct_records(table, state.grid))
+    assert result.warnings[0].payload == {"max_delta_index": RECONSTRUCT_BANDS - 1}
+    assert peak < RECONSTRUCT_MB

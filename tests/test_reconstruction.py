@@ -1,17 +1,19 @@
 import cmath
 import math
 import warnings
+import weakref
 from collections import Counter
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from spectomo import (
     CalibrationMissingError,
     CrossSectionEstimate,
     DegenerateInputError,
+    Diagnostic,
     InterferometerConfig,
     MissingSettingsError,
     ScanTable,
@@ -26,6 +28,7 @@ from spectomo import (
     invert_cross_section,
     make_grid,
     plan_scan,
+    pool_records,
     project_physical,
     purity,
     reconstruct_records,
@@ -34,6 +37,7 @@ from spectomo import (
     time_jitter_state,
 )
 from spectomo import reconstruction
+from spectomo.diagnostics import capture
 from conftest import exact_records
 
 IDEAL = InterferometerConfig()
@@ -339,6 +343,26 @@ def test_project_never_farther_than_clipping(n, seed, shift):
     assert nearest <= hs_distance(_clip_and_renormalize(herm, g), herm, g) + 1e-12
 
 
+@settings(max_examples=60, deadline=None)
+@given(n=st.integers(2, 10), seed=st.integers(0, 2**32 - 1), hermitian=st.booleans())
+@example(n=3, seed=0, hermitian=False)
+@example(n=3, seed=0, hermitian=True)
+def test_project_leaves_its_input_unchanged(n, seed, hermitian):
+    g = make_grid(0.0, float(n), n)
+    rng = np.random.default_rng(seed)
+    m = rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n)) + np.eye(n)
+    if hermitian:
+        m = (m + m.conj().T) / 2.0
+    m[0, -1] = -0.0  # a signed zero, which only a bitwise comparison tells from 0.0
+    before = m.copy()
+    try:
+        project_physical(m, g)
+    except DegenerateInputError:
+        pass
+    np.testing.assert_array_equal(m.view(np.float64), before.view(np.float64))
+    assert m.tobytes() == before.tobytes()
+
+
 def test_project_keeps_purity_under_shot_noise():
     # Clip-and-renormalize read purity 0.435 here: it keeps the positive half
     # of the shot-noise eigenvalues and shrinks the signal to make room.
@@ -482,6 +506,92 @@ def test_reconstruction_result_warnings_collected(standard_states):
     rho = standard_states["pure-gaussian"]
     result = reconstruct_records(exact_records(rho, max_delta_index=0), rho.grid)
     assert any(d.code == "bandwidth-truncation" for d in result.warnings)
+
+
+@pytest.mark.parametrize("max_delta_index", [None, 15], ids=["full", "partial"])
+def test_rho_pre_projection_is_the_assembled_estimate(monkeypatch, standard_states, max_delta_index):
+    rho = standard_states["time-jitter"]
+    grid = rho.grid
+    records = exact_records(rho, InterferometerConfig(gamma=0.9), max_delta_index=max_delta_index)
+    cells = pool_records(records)
+    estimate = estimate_cross_section(cells, calibrate_gamma(cells), grid)
+    with capture():
+        expected = assemble(dict(zip(estimate.delta_indices.tolist(), invert_cross_section(estimate, grid))), grid)
+    projected = []
+    project = reconstruction.project_physical
+
+    def recording(rho_raw, grid):
+        projected.append(np.array(rho_raw))
+        return project(rho_raw, grid)
+
+    monkeypatch.setattr(reconstruction, "project_physical", recording)
+    result = reconstruct_records(records, grid)
+    assert result.rho_pre_projection.tobytes() == expected.tobytes()
+    assert projected[0].tobytes() == expected.tobytes()
+
+
+PARTIAL_15 = Diagnostic(
+    "bandwidth-truncation",
+    "only bands 0..15 of 63 measured; outer coherences set to zero",
+    {"max_delta_index": 15},
+)
+
+
+@pytest.mark.parametrize(
+    "max_delta_index, expected", [(None, []), (15, [PARTIAL_15])], ids=["full", "partial"]
+)
+def test_each_diagnostic_of_the_pipeline_is_reported_once(standard_states, max_delta_index, expected):
+    # The estimate is assembled twice, for the projection and for
+    # `rho_pre_projection`; the bandwidth diagnostic still reads as one
+    # emission, with no `occurrences` key.
+    rho = standard_states["time-jitter"]
+    records = exact_records(rho, InterferometerConfig(gamma=0.9), max_delta_index=max_delta_index)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # nothing leaks past the pipeline's capture
+        result = reconstruct_records(records, rho.grid)
+    assert result.warnings == expected
+    sampled = _sampled_records(rho, 200, 3, max_delta_index=15)
+    assert [(d.code, d.payload) for d in reconstruct_records(sampled, rho.grid).warnings] == [
+        ("gamma-clamped", {"raw_magnitude": 1.0111874208078342}),
+        ("bandwidth-truncation", {"max_delta_index": 15}),
+    ]
+
+
+def test_reconstruct_hands_each_table_and_kernel_on(monkeypatch, standard_states):
+    # Given its only reference, `reconstruct_records` has released the
+    # unpooled table before calibrating and the assembled estimate before
+    # `eigh`; `rho_pre_projection` is a second assembly.
+    rho = standard_states["time-jitter"]
+    refs = {}
+    alive = {}
+    pool, calibrate = reconstruction.pool_records, reconstruction.calibrate_gamma
+    assemble_, eigh = reconstruction.assemble, np.linalg.eigh
+
+    def watched_pool(records):
+        refs.setdefault("unpooled", weakref.ref(records.counts_a))
+        return pool(records)
+
+    def watched_calibrate(cells):
+        alive.setdefault("unpooled", refs["unpooled"]() is not None)
+        return calibrate(cells)
+
+    def watched_assemble(bands, grid):
+        out = assemble_(bands, grid)
+        refs.setdefault("assembled", []).append(weakref.ref(out))
+        return out
+
+    def watched_eigh(a, *args, **kwargs):
+        alive.setdefault("assembled", refs["assembled"][0]() is not None)
+        return eigh(a, *args, **kwargs)
+
+    monkeypatch.setattr(reconstruction, "pool_records", watched_pool)
+    monkeypatch.setattr(reconstruction, "calibrate_gamma", watched_calibrate)
+    monkeypatch.setattr(reconstruction, "assemble", watched_assemble)
+    monkeypatch.setattr(np.linalg, "eigh", watched_eigh)
+    result = reconstruct_records(exact_records(rho, max_delta_index=15), rho.grid)
+    assert alive == {"unpooled": False, "assembled": False}
+    first, second = refs["assembled"]
+    assert first() is None and second() is result.rho_pre_projection
 
 
 # ---------------------------------------------------------------------------
