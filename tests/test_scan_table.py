@@ -155,12 +155,16 @@ def test_row_check_closeness_matches_the_formula_as_written(columns):
         "shots_postselected": post, "counts_a": a, "counts_b": b,
     }
     close = _isclose_as_written(a + b, post)
+    # A sum near 2**62 can put the post-selected count past the attempted
+    # one; that invariant is checked first and named instead.
+    exceeds = post > cols["shots_attempted"] + 1e-9
     found = measurement._first_invalid(cols)
-    if close.all():
+    if close.all() and not exceeds.any():
         assert found is None
     else:
-        assert found is not None and found[0] == int(np.argmin(close))
-        assert "counts_A + counts_B" in found[1]
+        row = int(np.argmax(~close | exceeds))
+        assert found is not None and found[0] == row
+        assert ("exceed attempted" if exceeds[row] else "counts_A + counts_B") in found[1]
 
 
 def test_support_clipping_once_per_band():
