@@ -287,6 +287,8 @@ class ScanPlan:
             raise ValueError(f"max_delta_index must be an integer in [0, {n - 1}], got {self.max_delta_index}")
         if not (isinstance(self.shots_per_setting, (int, np.integer)) and self.shots_per_setting > 0):
             raise ValueError(f"shots_per_setting must be a positive integer, got {self.shots_per_setting}")
+        if self.shots_per_setting >= 2**63:
+            raise ValueError(f"shots_per_setting must be below 2**63 (int64 counts), got {self.shots_per_setting}")
         if not (isinstance(self.seed, (int, np.integer)) and self.seed >= 0):
             raise ValueError(f"seed must be a nonnegative integer, got {self.seed}")
 

@@ -65,10 +65,10 @@ class CrossSectionEstimate:
 class ReconstructionResult:
     """What `reconstruct_records` returns.
 
-    `rho_pre_projection` is the raw Hermitian estimate, not made physical.
-    It is not the array `project_physical` was given (that one is freed
-    before the eigendecomposition) but a second assembly of the same
-    inverted bands, bit for bit equal to it.
+    `estimate` is the raw estimate in the form it was measured: every
+    band's cross-section and its `stderr_per_point`, not made physical.
+    `assemble` of its `invert_cross_section` is, bit for bit, the kernel
+    `project_physical` was given.
     """
 
     rho_hat: SpectralDensityMatrix
@@ -76,7 +76,7 @@ class ReconstructionResult:
     pre_projection_min_eigenvalue: float
     residuals: list[float]
     warnings: list[Diagnostic]
-    rho_pre_projection: np.ndarray
+    estimate: CrossSectionEstimate
 
 
 def calibrate_gamma(records) -> complex:
@@ -288,11 +288,9 @@ def reconstruct_records(
     Memory is handed on stage by stage: the unpooled table is released once
     `pool_records` returns, and the pooled one once the cross-sections are
     estimated, so a caller that passes its only reference to `records` holds
-    one table at a time. The assembled estimate goes straight into
-    `project_physical`, which frees it before `eigh`; `rho_pre_projection`
-    is assembled again from the kept (bands, n) array at the end, with the
-    second assembly's diagnostics discarded, so every diagnostic is reported
-    once.
+    one table at a time. The inverted bands and the kernel assembled from
+    them are passed on without a name, so both are freed before `eigh`; the
+    measured estimate is kept on the result.
     """
     with diagnostics.capture() as caught:
         cells = as_table(pool_records(records))
@@ -301,22 +299,20 @@ def reconstruct_records(
         estimate = estimate_cross_section(cells, gamma_hat, grid, min_visibility=min_visibility)
         del cells
         deltas = estimate.delta_indices.tolist()
-        bands = invert_cross_section(estimate, grid)
-        rho_hat, min_eig = project_physical(assemble(dict(zip(deltas, bands)), grid), grid)
+        rho_hat, min_eig = project_physical(
+            assemble(dict(zip(deltas, invert_cross_section(estimate, grid))), grid), grid
+        )
         residuals = [
             math.sqrt(float(np.vdot(diff, diff).real) / grid.n)
             for diff in estimate.g_of_tau - cross_section_transform(rho_hat, deltas)
         ]
-        del estimate
-        with diagnostics.capture():  # the first assembly reported them
-            rho_raw = assemble(dict(zip(deltas, bands)), grid)
     return ReconstructionResult(
         rho_hat=rho_hat,
         gamma_hat=gamma_hat,
         pre_projection_min_eigenvalue=min_eig,
         residuals=residuals,
         warnings=diagnostics.dedupe(caught),
-        rho_pre_projection=rho_raw,
+        estimate=estimate,
     )
 
 

@@ -18,6 +18,8 @@ from spectomo import (
     time_jitter_state,
 )
 from spectomo.core import DENSITY_MATRIX_UNITS
+from spectomo.diagnostics import capture
+from spectomo.reconstruction import assemble, invert_cross_section
 
 GRID_N = 64
 GRID_SPAN = 16.0
@@ -101,6 +103,14 @@ def exact_records(state, config=InterferometerConfig(), max_delta_index=None, sh
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")
         return simulate_counts(state, plan, config, exact=True)
+
+
+def raw_kernel(result):
+    """The raw n x n estimate a reconstruction projected, assembled again
+    from the result's measured bands (its diagnostics discarded)."""
+    estimate, grid = result.estimate, result.rho_hat.grid
+    with capture():
+        return assemble(dict(zip(estimate.delta_indices.tolist(), invert_cross_section(estimate, grid))), grid)
 
 
 def density_matrix_to_dict(state, units=DENSITY_MATRIX_UNITS):

@@ -26,7 +26,7 @@ from spectomo import (
     time_jitter_state,
 )
 from spectomo.measurement import estimate_p_delta, write_p_delta_table
-from conftest import exact_records, random_contained_state
+from conftest import exact_records, raw_kernel, random_contained_state
 from oracles import conditional_state, probabilities_closed_form, probabilities_quadrature
 
 IDEAL = InterferometerConfig()
@@ -83,7 +83,7 @@ def test_criterion_3_exact_round_trip(standard_states):
     worst = 0.0
     for name, state in standard_states.items():
         result = reconstruct_records(exact_records(state), state.grid)
-        err = hs_distance(result.rho_pre_projection, state.rho, state.grid)
+        err = hs_distance(raw_kernel(result), state.rho, state.grid)
         assert err < 1e-10, (name, err)
         worst = max(worst, err)
     elapsed = time.perf_counter() - started
@@ -167,7 +167,7 @@ def test_criterion_4c_frequency_jitter_broadening(standard_states):
 def test_criterion_5_gamma_calibration(standard_states):
     state = standard_states["chirped-gaussian"]
     grid = state.grid
-    reference = reconstruct_records(exact_records(state), grid).rho_pre_projection
+    reference = raw_kernel(reconstruct_records(exact_records(state), grid))
     worst_gamma = 0.0
     worst_recon = 0.0
     for gamma in (1.0, 0.8, 0.5, 0.8 * cmath.exp(1j * math.pi / 6)):
@@ -175,7 +175,7 @@ def test_criterion_5_gamma_calibration(standard_states):
         result = reconstruct_records(exact_records(state, config), grid)
         worst_gamma = max(worst_gamma, abs(result.gamma_hat - gamma))
         worst_recon = max(
-            worst_recon, hs_distance(result.rho_pre_projection, reference, grid)
+            worst_recon, hs_distance(raw_kernel(result), reference, grid)
         )
     assert worst_gamma < 1e-10
     assert worst_recon < 1e-10
@@ -189,7 +189,7 @@ def test_criterion_6_delta_zero_restriction(standard_states):
     state = standard_states["chirped-gaussian"]
     grid = state.grid
     result = reconstruct_records(exact_records(state, max_delta_index=0), grid)
-    raw = result.rho_pre_projection
+    raw = raw_kernel(result)
     off_diagonal = raw - np.diag(raw.diagonal())
     assert np.all(off_diagonal == 0.0)
     np.testing.assert_allclose(
@@ -217,7 +217,7 @@ def test_criterion_7_shot_noise_scaling(standard_states):
             plan = plan_scan(grid, grid.n - 1, shots, seed)
             records = simulate_counts(state, plan, IDEAL)
             result = reconstruct_records(records, grid)
-            errors.append(hs_distance(result.rho_pre_projection, state.rho, grid))
+            errors.append(hs_distance(raw_kernel(result), state.rho, grid))
         medians[shots] = float(np.median(errors))
     ratio = medians[1000] / medians[100000]
     assert 5.0 <= ratio <= 20.0

@@ -152,10 +152,14 @@ def test_simulate_rejects_negative_seed(tmp_path, capsys, mode):
         ("--xi", "0", "xi must be in (0, 1], got 0.0"),
         ("--max-delta", "nan", "max_delta must be positive, got nan"),
         ("--max-delta", "-1", "max_delta must be positive, got -1.0"),
+        (
+            "--shots", "9223372036854775808",
+            "shots_per_setting must be below 2**63 (int64 counts), got 9223372036854775808",
+        ),
     ],
     ids=[
         "gamma-nan", "gamma-inf", "gamma-imaginary-inf", "gamma-malformed", "gamma-empty", "xi-zero",
-        "max-delta-nan", "max-delta-negative",
+        "max-delta-nan", "max-delta-negative", "shots-past-int64",
     ],
 )
 def test_simulate_rejects_bad_hardware_values(tmp_path, capsys, flag, value, message, mode):

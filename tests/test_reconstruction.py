@@ -37,8 +37,7 @@ from spectomo import (
     time_jitter_state,
 )
 from spectomo import reconstruction
-from spectomo.diagnostics import capture
-from conftest import exact_records
+from conftest import exact_records, raw_kernel
 
 IDEAL = InterferometerConfig()
 
@@ -385,7 +384,7 @@ def test_projection_distance_shrinks_with_shots():
             records = _sampled_records(rho, shots, seed)
             result = reconstruct_records(records, g)
             distances.append(
-                hs_distance(result.rho_hat.rho, result.rho_pre_projection, g)
+                hs_distance(result.rho_hat.rho, raw_kernel(result), g)
             )
         moved[shots] = float(np.median(distances))
     assert moved[100000] < moved[1000]
@@ -398,7 +397,7 @@ def test_projection_distance_shrinks_with_shots():
 def test_exact_round_trip_all_fixtures(standard_states):
     for name, rho in standard_states.items():
         result = reconstruct_records(exact_records(rho), rho.grid)
-        err = hs_distance(result.rho_pre_projection, rho.rho, rho.grid)
+        err = hs_distance(raw_kernel(result), rho.rho, rho.grid)
         assert err < 1e-10, (name, err)
         assert result.gamma_hat == pytest.approx(1.0, abs=1e-10)
         assert max(result.residuals) < 1e-10
@@ -411,9 +410,9 @@ def test_calibration_invariance_of_reconstruction(grid64):
         config = InterferometerConfig(gamma=gamma)
         result = reconstruct_records(exact_records(rho, config), grid64)
         if reference is None:
-            reference = result.rho_pre_projection
+            reference = raw_kernel(result)
         else:
-            assert hs_distance(result.rho_pre_projection, reference, grid64) < 1e-10
+            assert hs_distance(raw_kernel(result), reference, grid64) < 1e-10
 
 
 def test_phase_sensitivity(grid64, standard_states):
@@ -437,7 +436,7 @@ def test_delta_truncation_monotonicity(standard_states):
         result = reconstruct_records(
             exact_records(rho, max_delta_index=max_delta_index), grid
         )
-        errors.append(hs_distance(result.rho_pre_projection, rho.rho, grid))
+        errors.append(hs_distance(raw_kernel(result), rho.rho, grid))
     assert all(a >= b - 1e-12 for a, b in zip(errors, errors[1:]))
     assert errors[-1] < 1e-10
 
@@ -449,7 +448,7 @@ def test_noise_scaling_with_shots():
     for shots in (1000, 100000):
         errs = [
             hs_distance(
-                reconstruct_records(_sampled_records(rho, shots, seed), g).rho_pre_projection,
+                raw_kernel(reconstruct_records(_sampled_records(rho, shots, seed), g)),
                 rho.rho,
                 g,
             )
@@ -471,7 +470,7 @@ def test_one_pass_over_every_band(monkeypatch, standard_states):
 
         return wrapper
 
-    for name in ("pool_records", "estimate_cross_section", "invert_cross_section"):
+    for name in ("pool_records", "estimate_cross_section", "invert_cross_section", "assemble"):
         monkeypatch.setattr(reconstruction, name, counted(name, getattr(reconstruction, name)))
     monkeypatch.setattr(np.fft, "ifft", counted("ifft", np.fft.ifft))
     monkeypatch.setattr(np.fft, "fft", counted("fft", np.fft.fft))
@@ -481,11 +480,13 @@ def test_one_pass_over_every_band(monkeypatch, standard_states):
     assert len(result.residuals) == rho.grid.n
     assert calls["pool_records"] <= 3
     assert calls["estimate_cross_section"] == calls["invert_cross_section"] == calls["ifft"] == 1
+    assert calls["assemble"] == 1
     assert calls["fft"] == 2  # and every residual from one more
     partial = exact_records(rho, max_delta_index=5)
     assert calls["fft"] == 3
     assert len(reconstruct_records(partial, rho.grid).residuals) == 6
     assert calls["fft"] == 4
+    assert calls["assemble"] == 2
 
 
 @pytest.mark.filterwarnings("error::RuntimeWarning")
@@ -509,14 +510,12 @@ def test_reconstruction_result_warnings_collected(standard_states):
 
 
 @pytest.mark.parametrize("max_delta_index", [None, 15], ids=["full", "partial"])
-def test_rho_pre_projection_is_the_assembled_estimate(monkeypatch, standard_states, max_delta_index):
+def test_the_result_keeps_the_measured_estimate(monkeypatch, standard_states, max_delta_index):
     rho = standard_states["time-jitter"]
     grid = rho.grid
     records = exact_records(rho, InterferometerConfig(gamma=0.9), max_delta_index=max_delta_index)
     cells = pool_records(records)
-    estimate = estimate_cross_section(cells, calibrate_gamma(cells), grid)
-    with capture():
-        expected = assemble(dict(zip(estimate.delta_indices.tolist(), invert_cross_section(estimate, grid))), grid)
+    expected = estimate_cross_section(cells, calibrate_gamma(cells), grid)
     projected = []
     project = reconstruction.project_physical
 
@@ -526,8 +525,11 @@ def test_rho_pre_projection_is_the_assembled_estimate(monkeypatch, standard_stat
 
     monkeypatch.setattr(reconstruction, "project_physical", recording)
     result = reconstruct_records(records, grid)
-    assert result.rho_pre_projection.tobytes() == expected.tobytes()
-    assert projected[0].tobytes() == expected.tobytes()
+    for field in ("delta_indices", "g_of_tau", "stderr_per_point"):
+        kept, measured = getattr(result.estimate, field), getattr(expected, field)
+        assert (kept.dtype, kept.shape, kept.tobytes()) == (measured.dtype, measured.shape, measured.tobytes())
+    [kernel] = projected
+    assert raw_kernel(result).tobytes() == kernel.tobytes()
 
 
 PARTIAL_15 = Diagnostic(
@@ -541,9 +543,8 @@ PARTIAL_15 = Diagnostic(
     "max_delta_index, expected", [(None, []), (15, [PARTIAL_15])], ids=["full", "partial"]
 )
 def test_each_diagnostic_of_the_pipeline_is_reported_once(standard_states, max_delta_index, expected):
-    # The estimate is assembled twice, for the projection and for
-    # `rho_pre_projection`; the bandwidth diagnostic still reads as one
-    # emission, with no `occurrences` key.
+    # The bandwidth diagnostic of the one assembly reads as one emission,
+    # with no `occurrences` key.
     rho = standard_states["time-jitter"]
     records = exact_records(rho, InterferometerConfig(gamma=0.9), max_delta_index=max_delta_index)
     with warnings.catch_warnings():
@@ -559,13 +560,13 @@ def test_each_diagnostic_of_the_pipeline_is_reported_once(standard_states, max_d
 
 def test_reconstruct_hands_each_table_and_kernel_on(monkeypatch, standard_states):
     # Given its only reference, `reconstruct_records` has released the
-    # unpooled table before calibrating and the assembled estimate before
-    # `eigh`; `rho_pre_projection` is a second assembly.
+    # unpooled table before calibrating, and the inverted bands and the one
+    # kernel assembled from them before `eigh`.
     rho = standard_states["time-jitter"]
     refs = {}
     alive = {}
     pool, calibrate = reconstruction.pool_records, reconstruction.calibrate_gamma
-    assemble_, eigh = reconstruction.assemble, np.linalg.eigh
+    invert, assemble_, eigh = reconstruction.invert_cross_section, reconstruction.assemble, np.linalg.eigh
 
     def watched_pool(records):
         refs.setdefault("unpooled", weakref.ref(records.counts_a))
@@ -575,23 +576,28 @@ def test_reconstruct_hands_each_table_and_kernel_on(monkeypatch, standard_states
         alive.setdefault("unpooled", refs["unpooled"]() is not None)
         return calibrate(cells)
 
+    def watched_invert(estimate, grid):
+        out = invert(estimate, grid)
+        refs.setdefault("bands", []).append(weakref.ref(out))
+        return out
+
     def watched_assemble(bands, grid):
         out = assemble_(bands, grid)
         refs.setdefault("assembled", []).append(weakref.ref(out))
         return out
 
     def watched_eigh(a, *args, **kwargs):
-        alive.setdefault("assembled", refs["assembled"][0]() is not None)
+        for name in ("bands", "assembled"):
+            alive.setdefault(name, [ref() is not None for ref in refs[name]])
         return eigh(a, *args, **kwargs)
 
     monkeypatch.setattr(reconstruction, "pool_records", watched_pool)
     monkeypatch.setattr(reconstruction, "calibrate_gamma", watched_calibrate)
+    monkeypatch.setattr(reconstruction, "invert_cross_section", watched_invert)
     monkeypatch.setattr(reconstruction, "assemble", watched_assemble)
     monkeypatch.setattr(np.linalg, "eigh", watched_eigh)
-    result = reconstruct_records(exact_records(rho, max_delta_index=15), rho.grid)
-    assert alive == {"unpooled": False, "assembled": False}
-    first, second = refs["assembled"]
-    assert first() is None and second() is result.rho_pre_projection
+    reconstruct_records(exact_records(rho, max_delta_index=15), rho.grid)
+    assert alive == {"unpooled": False, "bands": [False], "assembled": [False]}
 
 
 # ---------------------------------------------------------------------------
