@@ -240,7 +240,10 @@ def cmd_reconstruct(args) -> int:
     # No reference kept here: `reconstruct_records` frees the unpooled table once pooled.
     result = reconstruct_records(read_records(args.records, grid), grid, min_visibility=args.min_visibility)
     doc = report(result, truth)
-    save_density_matrix(out, result.rho_hat, units=_units_label(args.units), heatmap=heatmap)
+    # The estimate (bands x n x 24 bytes) is freed before the state is written.
+    rho_hat, gamma_hat = result.rho_hat, result.gamma_hat
+    del result
+    save_density_matrix(out, rho_hat, units=_units_label(args.units), heatmap=heatmap)
     report_path.write_text(json.dumps(doc, indent=2) + "\n")
     outputs = list(written.values())
     params = _params(args)
@@ -255,7 +258,7 @@ def cmd_reconstruct(args) -> int:
         print(json.dumps(doc))
     else:
         print(f"wrote {out} and {report_path}")
-        print(f"gamma_hat {result.gamma_hat:.12g}")
+        print(f"gamma_hat {gamma_hat:.12g}")
         print(f"purity {doc['purity']:.12g}")
         if "hs_distance" in doc:
             print(f"hs_distance {doc['hs_distance']:.6e}")

@@ -16,6 +16,7 @@ convention fixes all unit bookkeeping below.
 
 from __future__ import annotations
 
+import gc
 import json
 import locale
 import math
@@ -775,22 +776,38 @@ def load_density_matrix(path) -> SpectralDensityMatrix:
     whole (see `_canonical_document`); any other text is decoded as
     `Path.read_text` decodes it, universal newlines included, and read by
     `json.loads`. Both give bit-identical kernels and the same errors.
+
+    On the `json.loads` path the cyclic GC is paused from the parse until
+    its lists are freed, then restored to its prior state.
     """
     encoding = locale.getpreferredencoding(False)  # what `Path.read_text` uses
     data = Path(path).read_bytes()
     doc = _canonical_document(data, encoding)
-    if doc is None:
-        try:
-            data = data.decode(encoding)  # the text takes the bytes' place
-        except UnicodeDecodeError as exc:
-            raise DataFormatError(f"{path}: not {exc.encoding} text ({exc.reason})") from exc
-        if "\r" in data:  # universal newlines, so that error positions match
-            data = data.replace("\r\n", "\n").replace("\r", "\n")
+    if doc is not None:
+        del data  # free the file's bytes before the kernel checks
+        return density_matrix_from_dict(doc)
+    try:
+        data = data.decode(encoding)  # the text takes the bytes' place
+    except UnicodeDecodeError as exc:
+        raise DataFormatError(f"{path}: not {exc.encoding} text ({exc.reason})") from exc
+    if "\r" in data:  # universal newlines, so that error positions match
+        data = data.replace("\r\n", "\n").replace("\r", "\n")
+    # json.loads builds a list per entry, and a collection would walk them
+    # all: during the parse, or at the first allocation after it if the GC
+    # were paused for the parse alone. Freed lists leave no such debt.
+    collecting = gc.isenabled()
+    gc.disable()
+    try:
         try:
             doc = json.loads(data)
         except json.JSONDecodeError as exc:
             raise DataFormatError(f"{path}: not valid JSON: {exc}") from exc
+        del data  # free the file's text before the kernel checks
         if not isinstance(doc, dict):
             raise DataFormatError(f"{path}: expected a JSON object")
-    del data  # free the file's text before the kernel checks
-    return density_matrix_from_dict(doc)
+        state = density_matrix_from_dict(doc)
+        del doc
+        return state
+    finally:
+        if collecting:
+            gc.enable()

@@ -288,7 +288,9 @@ def reconstruct_records(
     Memory is handed on stage by stage: the unpooled table is released once
     `pool_records` returns, and the pooled one once the cross-sections are
     estimated, so a caller that passes its only reference to `records` holds
-    one table at a time. The inverted bands and the kernel assembled from
+    one table at a time. A simulated scan (or its CSV) pools into a table
+    that views the unpooled table's four cell columns and owns only its
+    summed counts. The inverted bands and the kernel assembled from
     them are passed on without a name, so both are freed before `eigh`; the
     measured estimate is kept on the result.
     """

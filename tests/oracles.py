@@ -14,6 +14,9 @@ by two independent means, so tests can check the shipped path against them:
 
 Each route emits the package's support-clipping diagnostic through the public
 `warn_support_clipping` and keeps its own band helpers.
+
+`pool_by_unique` is `pool_records`' general path for every layout: the
+reference its short path must match in dtype, shape and bytes.
 """
 
 from __future__ import annotations
@@ -29,6 +32,7 @@ from spectomo.interferometer import (
     cross_section_transform,
     warn_support_clipping,
 )
+from spectomo.measurement import _COLUMNS, _SUMMED, ScanTable
 
 _EPS = float(np.finfo(np.float64).eps)
 
@@ -183,3 +187,19 @@ def probabilities_closed_form(
     value = (complex(config.gamma) * cmath.exp(1j * setting.theta) * complex(g[j])).real
     p_a = min(max(0.5 + 0.5 * value, 0.0), 1.0)
     return p_a, 1.0 - p_a
+
+
+def pool_by_unique(table: ScanTable) -> ScanTable:
+    """Rows sharing a (delta_index, tau_index, theta_slot) cell, summed in row
+    order onto the cell's first row by `np.add.at`, cells sorted by `np.unique`."""
+    key = (table.delta_index * (int(table.tau_index.max()) + 1) + table.tau_index) * 2 + table.theta_slot
+    _, first, cell = np.unique(key, return_index=True, return_inverse=True)
+    later = np.ones(len(table), dtype=bool)
+    later[first] = False
+    columns = []
+    for name, col in zip(_COLUMNS, table.columns):
+        pooled = col[first]
+        if name in _SUMMED:
+            np.add.at(pooled, cell[later], col[later])
+        columns.append(pooled)
+    return ScanTable._trusted(columns)

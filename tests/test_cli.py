@@ -218,6 +218,28 @@ def test_reconstruct_keeps_no_reference_to_the_unpooled_table(tmp_path, monkeypa
     assert alive == [False]
 
 
+def test_reconstruct_frees_the_estimate_before_the_save(tmp_path, monkeypatch):
+    state = _gen(tmp_path, extra=["--n", "16"])
+    csv = tmp_path / "records.csv"
+    assert main(["simulate", str(state), "--out", str(csv), "--exact"]) == 0
+    reconstruct, save = cli.reconstruct_records, cli.save_density_matrix
+    refs, alive = [], []
+
+    def watched_reconstruct(*args, **kwargs):
+        result = reconstruct(*args, **kwargs)
+        refs.append(weakref.ref(result.estimate))
+        return result
+
+    def watched_save(*args, **kwargs):
+        alive.append(refs[0]() is not None)
+        return save(*args, **kwargs)
+
+    monkeypatch.setattr(cli, "reconstruct_records", watched_reconstruct)
+    monkeypatch.setattr(cli, "save_density_matrix", watched_save)
+    assert main(["reconstruct", str(csv), "--out", str(tmp_path / "rho.json"), "--n", "16"]) == 0
+    assert alive == [False]
+
+
 def test_reconstruct_round_trip(tmp_path, capsys):
     state, out, code = _pipeline(tmp_path)
     assert code == 0

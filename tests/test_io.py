@@ -1,3 +1,4 @@
+import gc
 import json
 import math
 from pathlib import Path
@@ -315,6 +316,38 @@ def test_loader_reads_other_layouts_as_json_does(tmp_path, grid64, layout):
     path.write_text(text)
     np.testing.assert_array_equal(load_density_matrix(path).rho, state.rho)
     assert _outcome(load_density_matrix, path) == _outcome(_reference_load, path)
+
+
+@pytest.mark.parametrize("collecting", [True, False], ids=["gc-on", "gc-off"])
+@pytest.mark.parametrize("valid", [True, False], ids=["valid", "invalid"])
+def test_loader_pauses_the_gc_until_json_lists_are_freed(tmp_path, grid64, monkeypatch, collecting, valid):
+    text = NON_CANONICAL["indent-2"](_saved_text(tmp_path, density_from_pure(gaussian_pure(grid64, 0.0, 1.0))))
+    path = tmp_path / "other.json"
+    path.write_text(text if valid else text[:-3])
+    loads, from_dict, seen = json.loads, core.density_matrix_from_dict, []
+
+    def watched_loads(*args, **kwargs):
+        seen.append(("loads", gc.isenabled()))
+        return loads(*args, **kwargs)
+
+    def watched_from_dict(doc):
+        seen.append(("from_dict", gc.isenabled()))
+        return from_dict(doc)
+
+    monkeypatch.setattr(json, "loads", watched_loads)
+    monkeypatch.setattr(core, "density_matrix_from_dict", watched_from_dict)
+    was = gc.isenabled()
+    (gc.enable if collecting else gc.disable)()
+    try:
+        if valid:
+            load_density_matrix(path)
+        else:
+            with pytest.raises(DataFormatError, match="not valid JSON"):
+                load_density_matrix(path)
+        assert gc.isenabled() is collecting
+    finally:
+        (gc.enable if was else gc.disable)()
+    assert seen == [("loads", False), ("from_dict", False)][: 2 if valid else 1]
 
 
 def test_loader_reads_integer_entries(tmp_path):

@@ -31,6 +31,7 @@ from spectomo import measurement
 from spectomo.cli import main
 from spectomo.diagnostics import capture
 from spectomo.measurement import RECORD_HEADER, THETAS
+from oracles import pool_by_unique
 
 GRID = make_grid(0.0, 16.0, 16)
 PROPERTY = settings(
@@ -475,3 +476,86 @@ def test_pooling_sums_float_counts_in_row_order():
     pooled = pool_records(rows[::-1] + [rows[0]])
     assert len(pooled) == 1
     assert pooled.counts_a[0] == (((1e-17 + 0.3) + 0.2) + 0.1) + 0.1
+
+
+def _assert_same_bytes(pooled, reference):
+    for got, want in zip(pooled.columns, reference.columns):
+        assert (got.dtype, got.shape, got.tobytes()) == (want.dtype, want.shape, want.tobytes())
+
+
+_FLOAT_COUNTS = st.sampled_from([0.0, -0.0, 1e-17, 0.1, 0.2, 0.3, 2.5, 1e6 / 3])
+
+
+@st.composite
+def tail_first_layouts(draw):
+    """The layout `simulate_counts` writes, at random: a strictly ascending
+    tail of distinct cells after leading rows that each repeat a distinct tail
+    cell, in any order, with the tail row's tau."""
+    cells = sorted(draw(st.lists(
+        st.tuples(st.integers(0, 5), st.integers(0, 7), st.integers(0, 1)), min_size=1, max_size=30, unique=True
+    )))
+    lead = draw(st.lists(st.integers(0, len(cells) - 1), min_size=1, max_size=len(cells), unique=True))
+    delta, tau_index, slot = (np.array(c, dtype=np.int64) for c in zip(*([cells[i] for i in lead] + cells)))
+    rows = len(delta)
+    if draw(st.booleans()):
+        counts_a = np.array(draw(st.lists(st.integers(0, 10**6), min_size=rows, max_size=rows)))
+        counts_b = np.array(draw(st.lists(st.integers(0, 10**6), min_size=rows, max_size=rows)))
+    else:
+        counts_a = np.array(draw(st.lists(_FLOAT_COUNTS, min_size=rows, max_size=rows)))
+        counts_b = np.array(draw(st.lists(_FLOAT_COUNTS, min_size=rows, max_size=rows)))
+    post = counts_a + counts_b
+    spare = np.array(draw(st.lists(st.integers(0, 9), min_size=rows, max_size=rows)))
+    attempted = np.ceil(post).astype(np.int64) + spare
+    return ScanTable(delta, tau_index, slot, tau_index * GRID.d_tau, attempted, post, counts_a, counts_b)
+
+
+@PROPERTY
+@given(table=tail_first_layouts())
+def test_pooling_a_tail_first_layout_views_its_cells(table):
+    pooled = pool_records(table)
+    _assert_same_bytes(pooled, pool_by_unique(table))
+    for name in ("delta_index", "tau_index", "theta_slot", "tau"):
+        assert np.shares_memory(getattr(pooled, name), getattr(table, name)), name
+    for name in ("shots_attempted", "shots_postselected", "counts_a", "counts_b"):
+        assert not np.shares_memory(getattr(pooled, name), getattr(table, name)), name
+
+
+def _with_column(table, name, values):
+    columns = dict(zip(measurement._COLUMNS, table.columns))
+    columns[name] = values
+    return ScanTable(**columns)
+
+
+def _fallback_layouts():
+    table = _scan()  # the calibration pair (0, 0, 0), (0, 0, 1), then every cell in order
+    tau = np.array(table.tau)
+    tau[0] = -0.0  # equal to the tail's 0.0, with other bits
+    shifted = np.array(table.tau)
+    shifted[1] = 0.5
+    cells = table[2:]  # one row per cell
+    moved = int(np.flatnonzero((cells.delta_index == 1) & (cells.tau_index == 3) & (cells.theta_slot == 0))[0])
+    return {
+        "three-row cell": table[np.r_[0, 0:len(table)]],
+        "tau sign": _with_column(table, "tau", tau),
+        "tau value": _with_column(table, "tau", shifted),
+        # the tail cell after it, (1, 3, 1), has its tau
+        "leading cell absent from the tail": cells[np.r_[moved, 0:moved, moved + 1:len(cells)]],
+        "shuffled": table[np.random.default_rng(3).permutation(len(table))],
+    }
+
+
+@pytest.mark.parametrize(
+    "case", ["three-row cell", "tau sign", "tau value", "leading cell absent from the tail", "shuffled"]
+)
+def test_pooling_other_layouts_copies_every_column(case):
+    table = _fallback_layouts()[case]
+    pooled = pool_records(table)
+    _assert_same_bytes(pooled, pool_by_unique(table))
+    for got, col in zip(pooled.columns, table.columns):
+        assert not np.shares_memory(got, col)
+
+
+def test_pooling_rejects_cell_keys_beyond_int64():
+    table = ScanTable([0, 0, 2**62], [0, 1, 0], [0, 0, 0], [0.0, 0.1, 0.0], [9] * 3, [8] * 3, [3, 4, 5], [5, 4, 3])
+    with pytest.raises(ValueError, match="delta_index 4611686018427387904 and tau_index 1"):
+        pool_records(table)
