@@ -33,6 +33,7 @@ from .core import (
     make_grid,
     mix,
     purity,
+    read_density_matrix_grid,
     save_density_matrix,
     time_jitter_state,
     validate,
@@ -235,14 +236,18 @@ def cmd_reconstruct(args) -> int:
     if args.truth:
         read["--truth"] = args.truth
     _refuse_shared_paths(written, read)
-    truth = load_density_matrix(args.truth) if args.truth else None
-    grid = truth.grid if truth is not None else make_grid(args.center, args.span, args.n)
+    # The truth file's head names the grid; its kernel is loaded only once the
+    # reconstruction, and with it the projection's eigh, is done.
+    grid = read_density_matrix_grid(args.truth) if args.truth else make_grid(args.center, args.span, args.n)
     # No reference kept here: `reconstruct_records` frees the unpooled table once pooled.
     result = reconstruct_records(read_records(args.records, grid), grid, min_visibility=args.min_visibility)
+    truth = load_density_matrix(args.truth) if args.truth else None
+    if truth is not None and truth.grid != grid:
+        raise DataFormatError(f"{args.truth}: the state's grid {truth.grid} is not the grid its head names, {grid}")
     doc = report(result, truth)
-    # The estimate (bands x n x 24 bytes) is freed before the state is written.
+    # The truth and the estimate (bands x n x 24 bytes) are freed before the state is written.
     rho_hat, gamma_hat = result.rho_hat, result.gamma_hat
-    del result
+    del result, truth
     save_density_matrix(out, rho_hat, units=_units_label(args.units), heatmap=heatmap)
     report_path.write_text(json.dumps(doc, indent=2) + "\n")
     outputs = list(written.values())
@@ -382,7 +387,8 @@ def build_parser() -> argparse.ArgumentParser:
         "--truth",
         default=None,
         help="true state file; adds distance metrics and supplies the grid "
-        "(overrides --n/--span/--center)",
+        "(overrides --n/--span/--center); its grid is read first, its kernel "
+        "after the reconstruction",
     )
     rec.add_argument(
         "--min-visibility", type=float, default=MIN_VISIBILITY, help="|gamma| floor before division"

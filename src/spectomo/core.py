@@ -22,7 +22,7 @@ import locale
 import math
 import re
 from collections import deque
-from contextlib import ExitStack
+from contextlib import ExitStack, contextmanager
 from dataclasses import dataclass, field
 from functools import cached_property
 from itertools import chain, repeat
@@ -165,8 +165,9 @@ class SpectralDensityMatrix:
       * real, nonnegative diagonal.
 
     The constructor checks and holds a read-only copy of `rho`.
-    `from_kernel` and `reconstruction.project_physical` hand over a kernel
-    they built for the purpose through `_owning`, which runs the same
+    `from_kernel`, the density-matrix loader and
+    `reconstruction.project_physical` hand over a kernel they built for
+    the purpose through `_owning`, which runs the same
     checks on it and holds it without a copy. The checks work a block of
     rows at a time, so no n x n complex temporary is made beside the kernel.
 
@@ -230,7 +231,12 @@ class SpectralDensityMatrix:
         The state holds the one copy of `kernel` that the symmetrization
         is computed in.
         """
-        m = hermitian_part(grid, kernel, renormalize=renormalize)
+        return cls._from_hermitian(grid, hermitian_part(grid, kernel, renormalize=renormalize))
+
+    @classmethod
+    def _from_hermitian(cls, grid: FrequencyGrid, m: np.ndarray) -> "SpectralDensityMatrix":
+        """`from_kernel` of `m`, an array `_hermitize` has symmetrized in place
+        and nothing else holds: its eigenvalue check, then the state holding `m`."""
         w = np.linalg.eigvalsh(m) * grid.d_omega
         w_max = float(w[-1])
         if w_max <= 0.0 or float(w[0]) < -PSD_TOL * w_max:
@@ -626,14 +632,25 @@ def density_matrix_from_dict(doc: dict) -> SpectralDensityMatrix:
     Raises DataFormatError for a malformed document, entries that are not
     pairs of finite numbers, a kernel whose max|K - K^dagger| exceeds
     HERMITIAN_TOL * max|K|, and a kernel that is not a physical density
-    matrix. The Hermiticity check works a block of rows at a time, and
-    the state holds one copy of the kernel beside `doc`'s, the one
-    `from_kernel` symmetrizes.
+    matrix. The Hermiticity check works a block of rows at a time. A
+    float64 array in `doc` is copied, and the state holds the copy that
+    `from_kernel` symmetrizes; the array made here from a list or from
+    integer entries is symmetrized in place and held itself.
     """
+    return _document_state(doc, own=False)
+
+
+def _grid_fields(doc) -> tuple[float, float, int]:
+    """`omega_min`, `d_omega` and `n` of a density-matrix document, unchecked."""
+    return float(doc["omega_min"]), float(doc["d_omega"]), int(doc["n"])
+
+
+def _document_state(doc: dict, *, own: bool) -> SpectralDensityMatrix:
+    """`density_matrix_from_dict(doc)`; with `own`, `doc["rho"]` is the
+    loader's own float64 array, and the state's kernel is symmetrized in it
+    instead of in a copy."""
     try:
-        omega_min = float(doc["omega_min"])
-        d_omega = float(doc["d_omega"])
-        n = int(doc["n"])
+        omega_min, d_omega, n = _grid_fields(doc)
         pairs = doc["rho"]
     except (KeyError, TypeError, ValueError) as exc:
         raise DataFormatError(f"malformed density-matrix document: {exc}") from exc
@@ -650,6 +667,7 @@ def density_matrix_from_dict(doc: dict) -> SpectralDensityMatrix:
             f"{entries.shape} of {entries.dtype}"
         )
     entries = np.ascontiguousarray(entries, dtype=np.float64)
+    own = own or (entries is not pairs and entries.base is None)  # made here, not `doc`'s
     if not np.isfinite(entries).all():
         raise DataFormatError("kernel entries must be finite numbers, found NaN or Infinity")
     kernel = entries.view(np.complex128).reshape(n, n)
@@ -664,6 +682,8 @@ def density_matrix_from_dict(doc: dict) -> SpectralDensityMatrix:
         )
     try:
         grid = FrequencyGrid(omega_min=omega_min, d_omega=d_omega, n=n)
+        if own:
+            return SpectralDensityMatrix._from_hermitian(grid, _hermitize(grid, kernel, renormalize=False))
         return SpectralDensityMatrix.from_kernel(grid, kernel, renormalize=False)
     except ValueError as exc:
         raise DataFormatError(f"file does not hold a physical density matrix: {exc}") from exc
@@ -736,18 +756,35 @@ def _parse_pairs(data: bytes, start: int, stop: int) -> np.ndarray:
     return out
 
 
+def _head_document(data: bytes, encoding: str) -> dict | None:
+    """The head of a file laid out as `save_density_matrix` writes it, else None.
+
+    The head is the text before the first `"rho": ` in `data`, decoded in
+    `encoding`; with `[]}` appended it must be a JSON object whose `rho` is
+    `[]`, and that object, grid fields and all, is returned.
+    """
+    key = data.find(_RHO_KEY)
+    if key < 0:
+        return None
+    try:
+        doc = json.loads(data[: key + len(_RHO_KEY)].decode(encoding) + "[]}")
+    except (UnicodeDecodeError, json.JSONDecodeError):
+        return None
+    return doc if isinstance(doc, dict) and doc.get("rho") == [] else None
+
+
 def _canonical_document(data: bytes, encoding: str = "utf-8") -> dict | None:
     """The document of a file laid out as `save_density_matrix` writes it, else None.
 
     `data` is the file's bytes, read as text in `encoding` (an
     ASCII-compatible one). Such a file is `<head>"rho": <body>}` plus JSON
     whitespace, where `<body>` matches `_CANONICAL_RHO` and `<head>"rho": []}`
-    is a JSON object whose `rho` is `[]`. It is then valid JSON whose last
-    key is `rho`, so `json.loads` of its text gives the same dict; here only
-    the head is decoded, and `rho` comes back as an (entries, 2) float64
-    array parsed by numpy block by block from the bytes (see `_parse_pairs`),
-    with the values `float()` gives each number, and no Python object per
-    entry.
+    is a JSON object whose `rho` is `[]` (see `_head_document`). It is then
+    valid JSON whose last key is `rho`, so `json.loads` of its text gives
+    the same dict; here only the head is decoded, and `rho` comes back as an
+    (entries, 2) float64 array parsed by numpy block by block from the bytes
+    (see `_parse_pairs`), with the values `float()` gives each number, and
+    no Python object per entry.
     """
     key = data.find(_RHO_KEY)
     if key < 0:
@@ -758,14 +795,52 @@ def _canonical_document(data: bytes, encoding: str = "utf-8") -> dict | None:
         end -= 1
     if end <= start or data[end - 1 : end] != b"}" or not _CANONICAL_RHO.fullmatch(data, start, end - 1):
         return None
-    try:
-        doc = json.loads(data[:start].decode(encoding) + "[]}")
-    except (UnicodeDecodeError, json.JSONDecodeError):
-        return None
-    if not isinstance(doc, dict) or doc.get("rho") != []:
+    doc = _head_document(data[:start], encoding)
+    if doc is None:
         return None
     doc["rho"] = _parse_pairs(data, start, end - 1)
     return doc
+
+
+def _decoded(path, data: bytes, encoding: str) -> str:
+    """The text of a density-matrix file's bytes as `Path.read_text` gives it,
+    universal newlines included, so that JSON error positions match."""
+    try:
+        text = data.decode(encoding)
+    except UnicodeDecodeError as exc:
+        raise DataFormatError(f"{path}: not {exc.encoding} text ({exc.reason})") from exc
+    if "\r" in text:
+        text = text.replace("\r\n", "\n").replace("\r", "\n")
+    return text
+
+
+def _json_document(path, text: str) -> dict:
+    """`json.loads` of a density-matrix file's text, which must be an object.
+
+    Call it with the cyclic GC paused (`_gc_paused`) until the document is
+    freed: json.loads builds a list per entry, and a collection would walk
+    them all, during the parse, or at the first allocation after it if the
+    GC were paused for the parse alone. Freed lists leave no such debt.
+    """
+    try:
+        doc = json.loads(text)
+    except json.JSONDecodeError as exc:
+        raise DataFormatError(f"{path}: not valid JSON: {exc}") from exc
+    if not isinstance(doc, dict):
+        raise DataFormatError(f"{path}: expected a JSON object")
+    return doc
+
+
+@contextmanager
+def _gc_paused():
+    """The cyclic GC off inside the block, then back in its prior state."""
+    collecting = gc.isenabled()
+    gc.disable()
+    try:
+        yield
+    finally:
+        if collecting:
+            gc.enable()
 
 
 def load_density_matrix(path) -> SpectralDensityMatrix:
@@ -776,6 +851,8 @@ def load_density_matrix(path) -> SpectralDensityMatrix:
     whole (see `_canonical_document`); any other text is decoded as
     `Path.read_text` decodes it, universal newlines included, and read by
     `json.loads`. Both give bit-identical kernels and the same errors.
+    Either way the float64 array parsed from `rho` becomes the state's
+    kernel, symmetrized in place: a load makes no second n x n copy.
 
     On the `json.loads` path the cyclic GC is paused from the parse until
     its lists are freed, then restored to its prior state.
@@ -785,29 +862,62 @@ def load_density_matrix(path) -> SpectralDensityMatrix:
     doc = _canonical_document(data, encoding)
     if doc is not None:
         del data  # free the file's bytes before the kernel checks
-        return density_matrix_from_dict(doc)
-    try:
-        data = data.decode(encoding)  # the text takes the bytes' place
-    except UnicodeDecodeError as exc:
-        raise DataFormatError(f"{path}: not {exc.encoding} text ({exc.reason})") from exc
-    if "\r" in data:  # universal newlines, so that error positions match
-        data = data.replace("\r\n", "\n").replace("\r", "\n")
-    # json.loads builds a list per entry, and a collection would walk them
-    # all: during the parse, or at the first allocation after it if the GC
-    # were paused for the parse alone. Freed lists leave no such debt.
-    collecting = gc.isenabled()
-    gc.disable()
-    try:
-        try:
-            doc = json.loads(data)
-        except json.JSONDecodeError as exc:
-            raise DataFormatError(f"{path}: not valid JSON: {exc}") from exc
-        del data  # free the file's text before the kernel checks
-        if not isinstance(doc, dict):
-            raise DataFormatError(f"{path}: expected a JSON object")
+        return _document_state(doc, own=True)
+    text = _decoded(path, data, encoding)
+    del data
+    with _gc_paused():
+        doc = _json_document(path, text)
+        del text  # free the file's text before the kernel checks
         state = density_matrix_from_dict(doc)
         del doc
         return state
-    finally:
-        if collecting:
-            gc.enable()
+
+
+def _file_head(path) -> bytes:
+    """The bytes of the file at `path` up to and including its first
+    `"rho": `, read 64 kB at a time; all of its bytes if it has none."""
+    head = bytearray()
+    with open(path, "rb") as f:
+        while block := f.read(1 << 16):
+            seen = max(len(head) - len(_RHO_KEY) + 1, 0)
+            head += block
+            key = head.find(_RHO_KEY, seen)
+            if key >= 0:
+                return bytes(head[: key + len(_RHO_KEY)])
+    return bytes(head)
+
+
+def _document_grid(doc: dict) -> FrequencyGrid | None:
+    """The grid that the fields of a density-matrix document make, else None."""
+    try:
+        return FrequencyGrid(*_grid_fields(doc))
+    except (KeyError, TypeError, ValueError, OverflowError):
+        return None
+
+
+def read_density_matrix_grid(path) -> FrequencyGrid:
+    """The grid of a density-matrix file, without its kernel.
+
+    A file laid out as `save_density_matrix` writes it is read only up to
+    `"rho": `, and the grid comes from that head as `_canonical_document`
+    decodes it. Any other file, or a head whose fields make no grid, is
+    parsed as `load_density_matrix` parses it through `json.loads`. The
+    kernel is not checked, so a file whose kernel the loader rejects may
+    still give its grid here; where the document makes no grid, the error
+    is the one `load_density_matrix` raises for the file. A file with a key
+    repeated after `rho` may load on another grid than its head names.
+    """
+    encoding = locale.getpreferredencoding(False)
+    head = _head_document(_file_head(path), encoding)
+    grid = _document_grid(head) if head is not None else None
+    if grid is not None:
+        return grid
+    text = _decoded(path, Path(path).read_bytes(), encoding)
+    with _gc_paused():
+        doc = _json_document(path, text)
+        del text
+        grid = _document_grid(doc)
+        del doc
+    # Where the fields make no grid, the loader raises its own error for
+    # the file, which may be about the entries: it checks them first.
+    return grid or load_density_matrix(path).grid

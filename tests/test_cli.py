@@ -240,6 +240,98 @@ def test_reconstruct_frees_the_estimate_before_the_save(tmp_path, monkeypatch):
     assert alive == [False]
 
 
+def test_reconstruct_loads_the_truth_after_the_reconstruction(tmp_path, monkeypatch):
+    # Only the truth's grid is read before the reconstruction, so the
+    # projection's eigh and the save run without the truth's kernel.
+    state = _gen(tmp_path, extra=["--n", "16"])
+    csv = tmp_path / "records.csv"
+    assert main(["simulate", str(state), "--out", str(csv), "--exact"]) == 0
+    reconstruct, load, save = cli.reconstruct_records, cli.load_density_matrix, cli.save_density_matrix
+    events, refs = [], []
+
+    def watched_reconstruct(*args, **kwargs):
+        result = reconstruct(*args, **kwargs)
+        events.append("reconstructed")
+        return result
+
+    def watched_load(path):
+        truth = load(path)
+        events.append("truth loaded")
+        refs.extend([weakref.ref(truth), weakref.ref(truth.rho)])
+        return truth
+
+    def watched_save(*args, **kwargs):
+        events.append(("saved", [ref() is not None for ref in refs]))
+        return save(*args, **kwargs)
+
+    monkeypatch.setattr(cli, "reconstruct_records", watched_reconstruct)
+    monkeypatch.setattr(cli, "load_density_matrix", watched_load)
+    monkeypatch.setattr(cli, "save_density_matrix", watched_save)
+    argv = ["reconstruct", str(csv), "--out", str(tmp_path / "rho.json"), "--truth", str(state)]
+    assert main(argv + ["--heatmap-out", str(tmp_path / "heat.csv")]) == 0
+    assert events == ["reconstructed", "truth loaded", ("saved", [False, False])]
+
+
+def _drop_one_setting(csv, tmp_path):
+    lines = csv.read_text().splitlines()
+    crippled = tmp_path / "crippled.csv"
+    crippled.write_text("\n".join(lines[:-1]) + "\n")
+    return crippled
+
+
+def test_reconstruct_rejects_a_malformed_truth_head_before_the_records(tmp_path, monkeypatch, capsys):
+    state = _gen(tmp_path, extra=["--n", "8", "--span", "8"])
+    csv = tmp_path / "records.csv"
+    assert main(["simulate", str(state), "--out", str(csv), "--exact"]) == 0
+    doc = json.loads(state.read_text())
+    del doc["n"]
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps(doc))
+    read, opened = cli.read_records, []
+    monkeypatch.setattr(cli, "read_records", lambda *args: opened.append(args) or read(*args))
+    capsys.readouterr()
+    argv = ["reconstruct", str(_drop_one_setting(csv, tmp_path)), "--out", str(tmp_path / "x.json")]
+    assert main(argv + ["--truth", str(bad)]) == 3
+    assert capsys.readouterr().err == "error: malformed density-matrix document: 'n'\n"
+    assert opened == []
+
+
+def test_reconstruct_reports_missing_settings_before_a_bad_truth_kernel(tmp_path, capsys):
+    # The truth's kernel is read after the reconstruction, so records that
+    # lack a setting fail first (exit 4) even when that kernel is malformed.
+    state = _gen(tmp_path, extra=["--n", "8", "--span", "8"])
+    csv = tmp_path / "records.csv"
+    assert main(["simulate", str(state), "--out", str(csv), "--exact"]) == 0
+    doc = json.loads(state.read_text())
+    doc["rho"] = MALFORMED_RHO["string-entry"](doc["rho"])
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps(doc))
+    crippled = _drop_one_setting(csv, tmp_path)
+    out = tmp_path / "x.json"
+    capsys.readouterr()
+    assert main(["reconstruct", str(crippled), "--out", str(out), "--truth", str(state)]) == 4
+    expected = capsys.readouterr().err
+    assert expected.startswith("error: ") and "missing" in expected
+    assert main(["reconstruct", str(crippled), "--out", str(out), "--truth", str(bad)]) == 4
+    assert capsys.readouterr().err == expected
+    assert not out.exists()
+
+
+def test_reconstruct_rejects_a_truth_that_loads_on_another_grid(tmp_path, capsys):
+    # A key repeated after `rho` is not in the head: json.loads keeps the last one.
+    state = _gen(tmp_path, extra=["--n", "8", "--span", "8"])
+    csv = tmp_path / "records.csv"
+    assert main(["simulate", str(state), "--out", str(csv), "--exact"]) == 0
+    shifted = tmp_path / "shifted.json"
+    shifted.write_text(state.read_text().rstrip()[:-1] + ', "omega_min": 5.0}\n')
+    out = tmp_path / "x.json"
+    capsys.readouterr()
+    assert main(["reconstruct", str(csv), "--out", str(out), "--truth", str(shifted)]) == 3
+    err = capsys.readouterr().err
+    assert "omega_min=5.0" in err and "is not the grid its head names" in err
+    assert not out.exists()
+
+
 def test_reconstruct_round_trip(tmp_path, capsys):
     state, out, code = _pipeline(tmp_path)
     assert code == 0

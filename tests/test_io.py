@@ -436,3 +436,131 @@ def test_loader_passes_json_loads_only_the_header(tmp_path, monkeypatch, standar
     monkeypatch.setattr(json, "loads", lambda text, **kw: lengths.append(len(text)) or loads(text, **kw))
     np.testing.assert_array_equal(load_density_matrix(path).rho, state.rho)
     assert lengths and max(lengths) <= header
+
+
+# ---------------------------------------------------------------------------
+# One kernel per load, and the grid read from a file's head
+# ---------------------------------------------------------------------------
+
+def test_loader_symmetrizes_the_parsed_array_in_place(tmp_path, monkeypatch, standard_states):
+    state = standard_states["time-jitter"]
+    path = tmp_path / "state.json"
+    save_density_matrix(path, state)
+    parse, parsed = core._parse_pairs, []
+    monkeypatch.setattr(core, "_parse_pairs", lambda *args: parsed.append(parse(*args)) or parsed[-1])
+    back = load_density_matrix(path)
+    assert np.shares_memory(back.rho, parsed[0])
+    assert back.rho.tobytes() == _reference_load(path).rho.tobytes()
+
+
+@pytest.mark.parametrize("layout", sorted(NON_CANONICAL))
+def test_loader_holds_the_array_it_made_from_json_lists(tmp_path, grid64, layout):
+    state = time_jitter_state(gaussian_pure(grid64, 0.5, 1.0, chirp=0.4), 0.7)
+    path = tmp_path / "other.json"
+    path.write_text(NON_CANONICAL[layout](_saved_text(tmp_path, state)))
+    back = load_density_matrix(path)
+    assert back.rho.base.shape == (grid64.n**2, 2) and back.rho.base.dtype == np.float64
+    assert back.rho.tobytes() == _reference_load(path).rho.tobytes()
+
+
+def test_dict_reader_leaves_a_callers_array_as_it_was():
+    # Within HERMITIAN_TOL of Hermitian, so symmetrizing changes entry (1, 0).
+    text = _n2_text(0.25, [[2.0, 0.0], [0.5, 0.25], [0.5 + 1e-12, -0.25], [2.0, 0.0]])
+    doc = _canonical_document(text.encode())
+    before = doc["rho"].copy()
+    state = density_matrix_from_dict(doc)
+    assert not np.shares_memory(state.rho, doc["rho"])
+    assert doc["rho"].tobytes() == before.tobytes()
+    assert state.rho[1, 0] != complex(*before[2])
+
+
+@pytest.mark.parametrize("layout", ["canonical"] + sorted(NON_CANONICAL))
+def test_grid_reader_gives_the_loaded_grid(tmp_path, grid64, layout):
+    text = _saved_text(tmp_path, density_from_pure(gaussian_pure(grid64, 0.0, 1.0)))
+    path = tmp_path / "state.json"
+    path.write_text(text if layout == "canonical" else NON_CANONICAL[layout](text))
+    assert core.read_density_matrix_grid(path) == load_density_matrix(path).grid == grid64
+
+
+def test_grid_reader_reads_a_saved_file_up_to_rho(tmp_path, monkeypatch):
+    # Nothing after `"rho": ` is read: these bytes are neither text nor a kernel.
+    path = tmp_path / "head.json"
+    path.write_bytes(b'{"omega_min": -1.5, "d_omega": 0.25, "n": 13, "units": "x", "rho": \xff' + b"]" * 300_000)
+    lengths, loads = [], json.loads
+    monkeypatch.setattr(json, "loads", lambda text, **kw: lengths.append(len(text)) or loads(text, **kw))
+    assert core.read_density_matrix_grid(path) == FrequencyGrid(-1.5, 0.25, 13)
+    assert lengths == [len('{"omega_min": -1.5, "d_omega": 0.25, "n": 13, "units": "x", "rho": []}')]
+
+
+def _with(**fields):
+    doc = {"omega_min": 0.0, "d_omega": 0.5, "n": 2, "rho": [[1, 0], [0, 0], [0, 0], [1, 0]]}
+    doc.update(fields)
+    return json.dumps({k: v for k, v in doc.items() if v is not None})
+
+
+# Files whose grid fields make no grid, each a single fault: the grid reader
+# must raise exactly what the loader raises for them.
+NO_GRID = {
+    "not-json": "{ not json",
+    "not-an-object": "[1, 2]",
+    "no-n": _with(n=None),
+    "string-d-omega": _with(d_omega="x"),
+    "one-point": _with(n=1, d_omega=1.0, rho=[[1.0, 0.0]]),
+    "no-points": _with(n=0, rho=[]),
+    "negative-d-omega": _with(d_omega=-0.5, rho=[[-1, 0], [0, 0], [0, 0], [-1, 0]]),
+    "rho-first-no-n": json.dumps({"rho": [[1, 0]] * 4, "omega_min": 0.0, "d_omega": 0.5}),
+}
+
+
+@pytest.mark.parametrize("case", sorted(NO_GRID))
+def test_grid_reader_raises_the_loaders_error(tmp_path, case):
+    path = tmp_path / "bad.json"
+    path.write_text(NO_GRID[case])
+
+    def outcome(read):
+        try:
+            read(path)
+        except (DataFormatError, OSError) as exc:
+            return type(exc).__name__, str(exc)
+        return None
+
+    assert outcome(core.read_density_matrix_grid) == outcome(load_density_matrix) is not None
+
+
+def test_grid_reader_raises_the_loaders_error_for_a_missing_file(tmp_path):
+    path = tmp_path / "missing.json"
+    with pytest.raises(FileNotFoundError) as expected:
+        load_density_matrix(path)
+    with pytest.raises(FileNotFoundError) as excinfo:
+        core.read_density_matrix_grid(path)
+    assert str(excinfo.value) == str(expected.value)
+
+
+def test_grid_reader_ignores_the_kernel(tmp_path, grid64):
+    doc = density_matrix_to_dict(density_from_pure(gaussian_pure(grid64, 0.0, 1.0)))
+    for case in ("non-hermitian", "string-entry", "no-rho"):
+        path = tmp_path / f"{case}.json"
+        bad = {k: v for k, v in doc.items() if k != "rho"}
+        if case != "no-rho":
+            bad["rho"] = MALFORMED_RHO[case](doc["rho"])
+        path.write_text(json.dumps(bad))
+        assert core.read_density_matrix_grid(path) == grid64
+        with pytest.raises(DataFormatError):
+            load_density_matrix(path)
+
+
+@pytest.mark.parametrize("collecting", [True, False], ids=["gc-on", "gc-off"])
+def test_grid_reader_restores_the_gc(tmp_path, grid64, monkeypatch, collecting):
+    text = NON_CANONICAL["rho-first"](_saved_text(tmp_path, density_from_pure(gaussian_pure(grid64, 0.0, 1.0))))
+    path = tmp_path / "other.json"
+    path.write_text(text)
+    seen, loads = [], json.loads
+    monkeypatch.setattr(json, "loads", lambda *a, **kw: seen.append(gc.isenabled()) or loads(*a, **kw))
+    was = gc.isenabled()
+    (gc.enable if collecting else gc.disable)()
+    try:
+        assert core.read_density_matrix_grid(path) == grid64
+        assert gc.isenabled() is collecting
+    finally:
+        (gc.enable if was else gc.disable)()
+    assert seen[-1] is False
