@@ -641,8 +641,17 @@ def density_matrix_from_dict(doc: dict) -> SpectralDensityMatrix:
 
 
 def _grid_fields(doc) -> tuple[float, float, int]:
-    """`omega_min`, `d_omega` and `n` of a density-matrix document, unchecked."""
-    return float(doc["omega_min"]), float(doc["d_omega"]), int(doc["n"])
+    """`omega_min`, `d_omega` and `n` of a density-matrix document.
+
+    `n` must be a JSON integer of at least 2 (not a float or a string; a
+    bool is 0 or 1), checked here, before any entry is read, so every
+    layout and `read_density_matrix_grid` reject a bad `n` with one
+    DataFormatError; the other two fields are checked by `FrequencyGrid`.
+    """
+    omega_min, d_omega, n = float(doc["omega_min"]), float(doc["d_omega"]), doc["n"]
+    if not isinstance(n, int) or n < 2:
+        raise DataFormatError(f"n must be an integer of at least 2, got {n!r}")
+    return omega_min, d_omega, n
 
 
 def _document_state(doc: dict, *, own: bool) -> SpectralDensityMatrix:
@@ -652,7 +661,7 @@ def _document_state(doc: dict, *, own: bool) -> SpectralDensityMatrix:
     try:
         omega_min, d_omega, n = _grid_fields(doc)
         pairs = doc["rho"]
-    except (KeyError, TypeError, ValueError) as exc:
+    except (KeyError, TypeError, ValueError, OverflowError) as exc:  # float() of a huge integer overflows
         raise DataFormatError(f"malformed density-matrix document: {exc}") from exc
     try:
         entries = np.asarray(pairs)
@@ -891,7 +900,7 @@ def _document_grid(doc: dict) -> FrequencyGrid | None:
     """The grid that the fields of a density-matrix document make, else None."""
     try:
         return FrequencyGrid(*_grid_fields(doc))
-    except (KeyError, TypeError, ValueError, OverflowError):
+    except (KeyError, TypeError, ValueError, OverflowError, DataFormatError):
         return None
 
 

@@ -18,7 +18,10 @@ once on construction. Iterating it yields `MeasurementRecord` rows.
 
 The record CSV is written and parsed in blocks of _BLOCK_ROWS rows, so the
 text in memory is one block's and a scan's memory is bounded by its table,
-not by the file. Line numbers in read errors count lines of the whole file.
+not by the file. A table with integer counts (every sampled scan) is
+written by digit arithmetic on its columns, one with real-valued counts by
+an f-string per row. Line numbers in read errors count lines of the whole
+file.
 """
 
 from __future__ import annotations
@@ -436,6 +439,37 @@ def _tail_rows(table: ScanTable, key: np.ndarray, start: int) -> np.ndarray | No
     return None
 
 
+# `_cells` counts keys in one int64 array over the whole key range, so it
+# counts only where that range is at most this many keys per row: the
+# counts then take at most 32 bytes a row, half of the table's 64 and about
+# what `np.unique`'s sort of the keys would hold. A sparser table (a few
+# far-apart bands) sorts its keys instead.
+_COUNTED_KEYS_PER_ROW = 4
+
+
+def _cells(key: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(first row of each cell, cell of each row) for the nonnegative cell
+    keys `key`, cells numbered in ascending key order, as
+    `np.unique(key, return_index=True, return_inverse=True)` gives them.
+
+    Keys within `_COUNTED_KEYS_PER_ROW` per row are counted, not sorted:
+    `np.bincount` marks the keys present, their running count ranks them,
+    and `np.minimum.at` finds each cell's first row.
+    """
+    span = int(key.max()) + 1
+    if span > _COUNTED_KEYS_PER_ROW * len(key):
+        _, first, cell = np.unique(key, return_index=True, return_inverse=True)
+        return first, cell
+    rank = np.bincount(key, minlength=span)
+    np.cumsum(rank > 0, out=rank)  # 1 + the cell of each present key
+    cell = rank[key]
+    cell -= 1
+    first = np.full(int(rank[-1]), len(key))
+    del rank
+    np.minimum.at(first, cell, np.arange(len(key)))
+    return first, cell
+
+
 def pool_records(records) -> ScanTable:
     """Sum counts of rows sharing a (delta_index, tau_index, theta) cell.
 
@@ -454,8 +488,10 @@ def pool_records(records) -> ScanTable:
     Each such cell has two rows, and IEEE addition commutes, so adding the
     leading row onto the tail row gives the bits of row order. Finding either
     layout takes one pass over the rows and one bool mask. Any other layout
-    (shuffled rows, a cell with three rows, a leading row whose `tau`
-    differs) is sorted and summed into a fresh copy of every column.
+    (shuffled or multi-pass rows, a cell with three rows, a leading row
+    whose `tau` differs) is summed into a fresh copy of every column, its
+    cells found by `_cells`: counted with `np.bincount` where the keys are
+    dense, sorted by `np.unique` where they are sparse, with the same result.
 
     Raises ValueError when the cell indices are too large for an int64 key.
     """
@@ -479,14 +515,16 @@ def pool_records(records) -> ScanTable:
                 pooled[at] += col[:start]  # tail + leading == leading + tail, bit for bit
             columns.append(pooled)
         return ScanTable._trusted(columns)
-    _, first, cell = np.unique(key, return_index=True, return_inverse=True)
+    first, cell = _cells(key)
+    del key
     later = np.ones(len(table), dtype=bool)
     later[first] = False
+    cell = cell[later]  # the cell of each row after its cell's first
     columns = []
     for name, col in zip(_COLUMNS, table.columns):
         pooled = col[first]
         if name in _SUMMED:
-            np.add.at(pooled, cell[later], col[later])
+            np.add.at(pooled, cell, col[later])
         columns.append(pooled)
     return ScanTable._trusted(columns)
 
@@ -515,30 +553,86 @@ def _format_counts(col: np.ndarray) -> list:
     return [str(int(v)) if v.is_integer() else repr(v) for v in col.tolist()]
 
 
+def _formatted_lines(block: ScanTable) -> bytes:
+    """The CSV lines of `block`, one f-string per row."""
+    theta_text = [repr(theta) for theta in THETAS]
+    return "".join([
+        f"{d},{k},{theta},{shots},{post},{a},{b}\n"
+        for d, k, theta, shots, post, a, b in zip(
+            block.delta_index.tolist(),
+            block.tau_index.tolist(),
+            map(theta_text.__getitem__, block.theta_slot.tolist()),
+            block.shots_attempted.tolist(),
+            _format_counts(block.shots_postselected),
+            _format_counts(block.counts_a),
+            _format_counts(block.counts_b),
+        )
+    ]).encode()
+
+
+# Each theta's text as bytes, by slot, right-aligned in a field as wide as
+# the longer one: the NULs before the shorter one are dropped with the rest.
+_THETA_WIDTH = max(len(repr(theta)) for theta in THETAS)
+_THETA_TEXT = np.frombuffer(
+    b"".join(repr(theta).rjust(_THETA_WIDTH, "\0").encode() for theta in THETAS), dtype=np.uint8
+).reshape(len(THETAS), _THETA_WIDTH)
+_POWERS_OF_TEN = 10 ** np.arange(19, dtype=np.int64)  # every power below 2**63
+
+
+def _integer_lines(block: ScanTable) -> bytes:
+    """The CSV lines of `block`, whose count columns are all int64, formatted in numpy.
+
+    The lines are laid out as one uint8 matrix with a row per character
+    position and a column per line (the transpose of the text), each field
+    as wide as its longest entry in the block. An integer's digits come from
+    repeated `// 10` of its column, units first; the positions before its
+    first digit stay NUL, like those before the shorter theta. Every integer
+    in a table is nonnegative, so the matrix's bytes in line order without
+    the NULs are the lines `_formatted_lines` gives.
+    """
+    fields = (  # None stands for theta, whose text comes by slot
+        block.delta_index, block.tau_index, None, block.shots_attempted,
+        block.shots_postselected, block.counts_a, block.counts_b,
+    )
+    widths = [_THETA_WIDTH if col is None else len(str(int(col.max()))) for col in fields]
+    text = np.zeros((sum(widths) + len(widths), len(block)), dtype=np.uint8)
+    end = 0
+    for col, width in zip(fields, widths):
+        start, end = end, end + width
+        if col is None:
+            text[start:end] = _THETA_TEXT[block.theta_slot].T
+        else:
+            rest = col
+            for row in range(end - 1, start - 1, -1):
+                quotient = rest // 10
+                np.subtract(rest, quotient * 10, out=text[row], casting="unsafe")
+                rest = quotient
+            text[start:end] += ord("0")
+            # The digit for 10**k is a leading zero where the value is below 10**k (k >= 1).
+            text[start:end - 1] *= col >= _POWERS_OF_TEN[width - 1:0:-1, None]
+        text[end] = ord(",")
+        end += 1
+    text[-1] = ord("\n")
+    return text.T.tobytes().translate(None, b"\0")
+
+
 def write_records(path, records) -> None:
     """CSV of a ScanTable or a list of records, one line per row.
 
     Rows are formatted and written _BLOCK_ROWS at a time, so the text in
-    memory is one block's, whatever the table's length.
+    memory is one block's, whatever the table's length. A table whose
+    count columns are all int64 (every sampled scan) is formatted by numpy
+    digit arithmetic (`_integer_lines`), one with real-valued counts
+    (exact mode) by one f-string per row; both write the same bytes for
+    the same values.
     """
     table = as_table(records)
-    theta_text = [repr(theta) for theta in THETAS]
-    with open(path, "w", newline="\n") as f:
-        f.write(RECORD_HEADER + "\n")
+    integral = all(col.dtype.kind == "i" for col in (table.shots_postselected, table.counts_a, table.counts_b))
+    lines = _integer_lines if integral else _formatted_lines
+    with open(path, "wb") as f:
+        f.write(RECORD_HEADER.encode() + b"\n")
         for start in range(0, len(table), _BLOCK_ROWS):
-            block = table[start:start + _BLOCK_ROWS]
-            f.write("".join([
-                f"{d},{k},{theta},{shots},{post},{a},{b}\n"
-                for d, k, theta, shots, post, a, b in zip(
-                    block.delta_index.tolist(),
-                    block.tau_index.tolist(),
-                    map(theta_text.__getitem__, block.theta_slot.tolist()),
-                    block.shots_attempted.tolist(),
-                    _format_counts(block.shots_postselected),
-                    _format_counts(block.counts_a),
-                    _format_counts(block.counts_b),
-                )
-            ]))
+            f.write(lines(table[start:start + _BLOCK_ROWS]))
 
 
 def _integral(col: np.ndarray) -> np.ndarray:

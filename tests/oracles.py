@@ -15,8 +15,10 @@ by two independent means, so tests can check the shipped path against them:
 Each route emits the package's support-clipping diagnostic through the public
 `warn_support_clipping` and keeps its own band helpers.
 
-`pool_by_unique` is `pool_records`' general path for every layout: the
-reference its short path must match in dtype, shape and bytes.
+`pool_by_unique` pools any layout by sorting its cell keys: the reference
+that `pool_records`' short path and its counting path must match in dtype,
+shape and bytes. `records_csv_by_rows` is the record CSV formatted one
+f-string per row: the reference for the bytes `write_records` writes.
 """
 
 from __future__ import annotations
@@ -32,7 +34,7 @@ from spectomo.interferometer import (
     cross_section_transform,
     warn_support_clipping,
 )
-from spectomo.measurement import _COLUMNS, _SUMMED, ScanTable
+from spectomo.measurement import _COLUMNS, _SUMMED, RECORD_HEADER, THETAS, ScanTable
 
 _EPS = float(np.finfo(np.float64).eps)
 
@@ -203,3 +205,22 @@ def pool_by_unique(table: ScanTable) -> ScanTable:
             np.add.at(pooled, cell[later], col[later])
         columns.append(pooled)
     return ScanTable._trusted(columns)
+
+
+def _count_text(value) -> str:
+    """An int as an int; a float as an int if it is whole, else its shortest repr."""
+    if isinstance(value, float):
+        return str(int(value)) if value.is_integer() else repr(value)
+    return str(value)
+
+
+def records_csv_by_rows(table: ScanTable) -> bytes:
+    """The record CSV of `table`: its header, then one f-string line per row."""
+    lines = [RECORD_HEADER + "\n"]
+    for row in zip(*(col.tolist() for col in table.columns)):
+        delta, tau_index, slot, _, attempted, post, a, b = row
+        lines.append(
+            f"{delta},{tau_index},{THETAS[slot]!r},{attempted},"
+            f"{_count_text(post)},{_count_text(a)},{_count_text(b)}\n"
+        )
+    return "".join(lines).encode()

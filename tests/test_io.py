@@ -19,6 +19,7 @@ from spectomo import (
     time_jitter_state,
 )
 from spectomo import core
+from spectomo.cli import main
 from spectomo.core import _canonical_document, density_matrix_from_dict
 from conftest import MALFORMED_RHO, density_matrix_to_dict
 
@@ -87,6 +88,61 @@ def test_loader_rejects_malformed(tmp_path):
     path.write_text(json.dumps({"omega_min": 0.0, "d_omega": 0.1, "n": 4, "rho": [[1, 0]]}))
     with pytest.raises(DataFormatError, match="expected 16"):
         load_density_matrix(path)
+
+
+# Files whose `n` is not an integer of at least 2: (its JSON text, the
+# number of identity-like [re, im] pairs the file holds).
+BAD_N = {
+    "negative": ("-2", 4),  # n * n entries, as for n = 2
+    "overflowing": ("1e999", 4),
+    "fraction": ("2.5", 4),
+    "string": ('"2"', 4),
+    "bool": ("true", 1),
+    "one": ("1", 1),
+    "zero": ("0", 0),
+}
+
+
+def _grid_text(layout, pairs, n="2", omega_min="0.0"):
+    """A density-matrix file in the layout `save_density_matrix` writes, or compact."""
+    if layout == "canonical":
+        rho = ", ".join(f"[{re!r}, {im!r}]" for re, im in pairs)
+        return f'{{"omega_min": {omega_min}, "d_omega": 0.5, "n": {n}, "units": "SI-rad-per-s", "rho": [{rho}]}}\n'
+    rho = ",".join(f"[{re!r},{im!r}]" for re, im in pairs)
+    return f'{{"omega_min":{omega_min},"d_omega":0.5,"n":{n},"rho":[{rho}]}}'
+
+
+def _rejections(path, capsys):
+    """What the loader, the grid reader and `spectomo analyze` make of `path`."""
+    messages = []
+    for read in (load_density_matrix, core.read_density_matrix_grid):
+        with pytest.raises(DataFormatError) as excinfo:
+            read(path)
+        messages.append(str(excinfo.value))
+    assert main(["analyze", str(path), str(path)]) == 3
+    messages.append(capsys.readouterr().err.strip().removeprefix("error: "))
+    return messages
+
+
+@pytest.mark.parametrize("layout", ["canonical", "compact"])
+@pytest.mark.parametrize("case", sorted(BAD_N))
+def test_loader_rejects_n_below_2_or_not_an_integer(tmp_path, capsys, case, layout):
+    text, entries = BAD_N[case]
+    path = tmp_path / "bad-n.json"
+    path.write_text(_grid_text(layout, [[1.0, 0.0], [0.0, 0.0], [0.0, 0.0], [1.0, 0.0]][:entries], n=text))
+    assert (_canonical_document(path.read_bytes()) is not None) == (layout == "canonical")
+    message = f"n must be an integer of at least 2, got {json.loads(text)!r}"
+    assert _rejections(path, capsys) == [message] * 3
+
+
+@pytest.mark.parametrize("layout", ["canonical", "compact"])
+def test_loader_rejects_a_grid_field_beyond_a_float(tmp_path, capsys, layout):
+    path = tmp_path / "huge.json"
+    pairs = [[1.0, 0.0], [0.0, 0.0], [0.0, 0.0], [1.0, 0.0]]
+    path.write_text(_grid_text(layout, pairs, omega_min="1" * 400))
+    assert (_canonical_document(path.read_bytes()) is not None) == (layout == "canonical")
+    message = "malformed density-matrix document: int too large to convert to float"
+    assert _rejections(path, capsys) == [message] * 3
 
 
 def test_loader_rejects_unphysical_kernel(tmp_path, grid64):
@@ -525,6 +581,14 @@ def test_grid_reader_raises_the_loaders_error(tmp_path, case):
         return None
 
     assert outcome(core.read_density_matrix_grid) == outcome(load_density_matrix) is not None
+
+
+def test_grid_reader_takes_the_last_n_of_a_file(tmp_path):
+    # The head's `n` makes no grid; the one repeated after `rho` is the one JSON keeps.
+    path = tmp_path / "repeated.json"
+    text = _grid_text("canonical", [[1.0, 0.0], [0.0, 0.0], [0.0, 0.0], [1.0, 0.0]], n='"2"')
+    path.write_text(text.removesuffix("}\n") + ', "n": 2}')
+    assert core.read_density_matrix_grid(path) == load_density_matrix(path).grid == FrequencyGrid(0.0, 0.5, 2)
 
 
 def test_grid_reader_raises_the_loaders_error_for_a_missing_file(tmp_path):

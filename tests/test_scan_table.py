@@ -31,7 +31,7 @@ from spectomo import measurement
 from spectomo.cli import main
 from spectomo.diagnostics import capture
 from spectomo.measurement import RECORD_HEADER, THETAS
-from oracles import pool_by_unique
+from oracles import pool_by_unique, records_csv_by_rows
 
 GRID = make_grid(0.0, 16.0, 16)
 PROPERTY = settings(
@@ -311,6 +311,58 @@ def test_written_blocks_do_not_change_bytes(tmp_path, monkeypatch, exact):
     assert read_records(blocks, GRID) == table
 
 
+# Indices may take every width an int64 does; the grid is never sampled.
+WIDE_GRID = make_grid(0.0, 16.0, 2**63 - 1)
+
+
+def _up_to(top):
+    """Integers in [0, top], each digit count up to top's equally likely."""
+    return st.integers(1, len(str(top))).flatmap(
+        lambda digits: st.integers(10 ** (digits - 1) if digits > 1 else 0, min(10**digits - 1, top))
+    )
+
+
+@st.composite
+def integer_tables(draw):
+    """Valid tables with int64 counts: zeros and 1- to 19-digit values in
+    every column, both theta slots, the empty table among them."""
+    rows = []
+    for _ in range(draw(st.integers(0, 12))):
+        attempted = draw(_up_to(2**63 - 1))
+        post = draw(_up_to(attempted))
+        counts_a = draw(_up_to(post))
+        index = _up_to(WIDE_GRID.n - 1)
+        rows.append((draw(index), draw(index), draw(st.integers(0, 1)), attempted, post, counts_a, post - counts_a))
+    delta, tau_index, slot, attempted, post, counts_a, counts_b = (
+        np.array(col, dtype=np.int64) for col in (zip(*rows) if rows else [()] * 7)
+    )
+    return ScanTable(delta, tau_index, slot, tau_index * WIDE_GRID.d_tau, attempted, post, counts_a, counts_b)
+
+
+@pytest.mark.parametrize("block_rows", [1, 3, 1 << 14])
+@PROPERTY
+@given(table=integer_tables())
+def test_integer_writer_matches_one_f_string_per_row(tmp_path, block_rows, table):
+    path = tmp_path / "records.csv"
+    with pytest.MonkeyPatch.context() as m:
+        m.setattr(measurement, "_BLOCK_ROWS", block_rows)
+        m.setattr(measurement, "_formatted_lines", None)  # the integer path must not need it
+        write_records(path, table)
+    assert path.read_bytes() == records_csv_by_rows(table)
+    # Count fields parse as float64, so they read back as the table's
+    # integers only below 2**53.
+    if all(int(col.max(initial=0)) < 2**53 for col in (table.shots_postselected, table.counts_a, table.counts_b)):
+        assert read_records(path, WIDE_GRID) == table
+
+
+@pytest.mark.parametrize("exact", [False, True], ids=["sampled", "exact"])
+def test_written_bytes_match_one_f_string_per_row(tmp_path, exact):
+    table = _scan(exact=exact)
+    path = tmp_path / "records.csv"
+    write_records(path, table)
+    assert path.read_bytes() == records_csv_by_rows(table)
+
+
 @pytest.mark.parametrize("lineno", [9, 10])
 @pytest.mark.parametrize("case", sorted(MALFORMED_ROWS))
 def test_malformed_row_in_a_later_block_names_its_file_line(tmp_path, monkeypatch, case, lineno):
@@ -553,6 +605,87 @@ def test_pooling_other_layouts_copies_every_column(case):
     _assert_same_bytes(pooled, pool_by_unique(table))
     for got, col in zip(pooled.columns, table.columns):
         assert not np.shares_memory(got, col)
+
+
+def _pooling_spy(monkeypatch):
+    """The names of `np.unique` and `np.bincount` in the order they are called."""
+    calls = []
+    for name in ("unique", "bincount"):
+        real = getattr(np, name)
+        monkeypatch.setattr(np, name, lambda *a, _real=real, _name=name, **kw: calls.append(_name) or _real(*a, **kw))
+    return calls
+
+
+@st.composite
+def shuffled_passes(draw):
+    """Cells each measured in 1 to 4 passes, the rows shuffled: int64 or
+    float64 counts (`-0.0` among them), keys dense or sparse."""
+    cells = draw(st.lists(
+        st.tuples(st.integers(0, 5), st.integers(0, 7), st.integers(0, 1)), min_size=1, max_size=20, unique=True
+    ))
+    passes = draw(st.lists(st.integers(1, 4), min_size=len(cells), max_size=len(cells)))
+    rows = [cell for cell, times in zip(cells, passes) for _ in range(times)]
+    rows = [rows[i] for i in draw(st.permutations(range(len(rows))))]
+    delta, tau_index, slot = (np.array(c, dtype=np.int64) for c in zip(*rows))
+    size = len(rows)
+    if draw(st.booleans()):
+        counts_a = np.array(draw(st.lists(st.integers(0, 10**6), min_size=size, max_size=size)))
+        counts_b = np.array(draw(st.lists(st.integers(0, 10**6), min_size=size, max_size=size)))
+    else:
+        counts_a = np.array(draw(st.lists(_FLOAT_COUNTS, min_size=size, max_size=size)))
+        counts_b = np.array(draw(st.lists(_FLOAT_COUNTS, min_size=size, max_size=size)))
+    post = counts_a + counts_b
+    spare = np.array(draw(st.lists(st.integers(0, 9), min_size=size, max_size=size)))
+    attempted = np.ceil(post).astype(np.int64) + spare
+    return ScanTable(delta, tau_index, slot, tau_index * GRID.d_tau, attempted, post, counts_a, counts_b)
+
+
+@PROPERTY
+@given(table=shuffled_passes())
+def test_pooling_by_counting_matches_sorting(table):
+    expected = pool_by_unique(table)
+    key = measurement._cell_keys(table)
+    with pytest.MonkeyPatch.context() as m:
+        calls = _pooling_spy(m)
+        pooled = pool_records(table)
+    _assert_same_bytes(pooled, expected)
+    if calls:  # neither sorted nor short: the general path ran
+        sparse = int(key.max()) + 1 > measurement._COUNTED_KEYS_PER_ROW * len(table)
+        assert calls == (["unique"] if sparse else ["bincount"])
+
+
+@pytest.mark.parametrize("counts", ["int64", "float64"])
+def test_pooling_a_shuffled_multipass_scan_counts_its_cells(monkeypatch, counts):
+    rng = np.random.default_rng(11)
+    if counts == "int64":
+        passes = _split_rows(_split_rows(_scan(), rng), rng)
+    else:  # real-valued counts do not split into integers: each row twice
+        table = _scan(exact=True)
+        passes = table[np.r_[0:len(table), 0:len(table)]]
+    shuffled = passes[rng.permutation(len(passes))]
+    expected = pool_by_unique(shuffled)
+    calls = _pooling_spy(monkeypatch)
+    _assert_same_bytes(pool_records(shuffled), expected)
+    assert calls == ["bincount"]
+    assert shuffled.counts_a.dtype == counts
+
+
+def test_pooling_sparse_keys_sorts_them(monkeypatch):
+    # Two far-apart bands of an n=4096 grid, three passes each: some 8M
+    # keys for 24 rows, too wide a range to count.
+    cells = [(delta, tau, slot) for delta in (0, 1000) for tau in (0, 4095) for slot in (0, 1)]
+    rows = cells * 3
+    order = np.random.default_rng(2).permutation(len(rows))
+    delta, tau_index, slot = (np.array(c, dtype=np.int64)[order] for c in zip(*rows))
+    counts_a = np.arange(len(rows)) / 7
+    ones = np.ones(len(rows), dtype=np.int64)
+    table = ScanTable(delta, tau_index, slot, tau_index * 0.25, 9 * ones, counts_a + 1.5, counts_a, 1.5 * ones)
+    expected = pool_by_unique(table)
+    calls = _pooling_spy(monkeypatch)
+    pooled = pool_records(table)
+    _assert_same_bytes(pooled, expected)
+    assert calls == ["unique"]
+    assert len(pooled) == len(cells)
 
 
 def test_pooling_rejects_cell_keys_beyond_int64():
