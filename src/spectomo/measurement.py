@@ -20,8 +20,9 @@ The record CSV is written and parsed in blocks of _BLOCK_ROWS rows, so the
 text in memory is one block's and a scan's memory is bounded by its table,
 not by the file. A table with integer counts (every sampled scan) is
 written by digit arithmetic on its columns, one with real-valued counts by
-an f-string per row. Line numbers in read errors count lines of the whole
-file.
+an f-string per row. Integer text is read back without a float parse;
+other text (real-valued counts, other spellings of a phase) is parsed as
+floats. Line numbers in read errors count lines of the whole file.
 """
 
 from __future__ import annotations
@@ -117,23 +118,15 @@ def _theta_slots(cols: dict) -> tuple:
     )
 
 
-def _first_invalid(cols: dict, checks=(), phase=None) -> tuple[int, str] | None:
-    """First row breaking a record invariant, and the reason.
-
-    `checks` are extra (mask, message(row)) pairs tried before the record
-    invariants, in order, for each row; `phase` replaces the theta_slot
-    range check (see `_theta_slots`).
-    """
-    delta, tau_index, slot = cols["delta_index"], cols["tau_index"], cols["theta_slot"]
-    attempted, post = cols["shots_attempted"], cols["shots_postselected"]
-    a, b = cols["counts_a"], cols["counts_b"]
-    total = a + b
-    with np.errstate(invalid="ignore"):  # inf - inf; such rows fail below
-        # math.isclose(total, post, rel_tol=1e-9, abs_tol=1e-9), row by row:
-        # |post - total| <= max(1e-9 * max(|total|, |post|), 1e-9), one bound
-        # at a time in one float buffer. Scaling by 1e-9 is monotonic, so the
-        # booleans are those of the formula as written.
-        close = total == post
+def _isclose(total: np.ndarray, post: np.ndarray) -> np.ndarray:
+    """math.isclose(total, post, rel_tol=1e-9, abs_tol=1e-9), row by row:
+    |post - total| <= max(1e-9 * max(|total|, |post|), 1e-9), one bound at a
+    time in one float buffer. Scaling by 1e-9 is monotonic, so the booleans
+    are those of the formula as written."""
+    close = total == post
+    if close.all():  # counts that add up exactly, as every sampled row does
+        return close
+    with np.errstate(invalid="ignore"):  # inf - inf; such rows are not close
         deviation = post - total
         np.abs(deviation, out=deviation)
         close |= deviation <= 1e-9
@@ -142,7 +135,34 @@ def _first_invalid(cols: dict, checks=(), phase=None) -> tuple[int, str] | None:
             np.abs(x, out=bound)
             bound *= 1e-9
             close |= deviation <= bound
-        del total, deviation, bound
+    return close
+
+
+# An int64 count at or beyond this magnitude can wrap `_isclose`'s int64
+# sum or difference; below it, neither leaves the int64 range.
+_WRAP_FREE = 2**61
+
+
+def _first_invalid(cols: dict, checks=(), phase=None) -> tuple[int, str] | None:
+    """First row breaking a record invariant, and the reason.
+
+    `checks` are extra (mask, message(row)) pairs tried before the record
+    invariants, in order, for each row; `phase` replaces the theta_slot
+    range check (see `_theta_slots`). Where both counts are int64, a row
+    holding a count of 2**61 or more in magnitude has its sum checked again
+    in float64, as math.isclose converts it, since int64 arithmetic would
+    wrap.
+    """
+    delta, tau_index, slot = cols["delta_index"], cols["tau_index"], cols["theta_slot"]
+    attempted, post = cols["shots_attempted"], cols["shots_postselected"]
+    a, b = cols["counts_a"], cols["counts_b"]
+    close = _isclose(a + b, post)
+    if a.dtype.kind == b.dtype.kind == "i":
+        wide = np.flatnonzero(
+            (a >= _WRAP_FREE) | (a <= -_WRAP_FREE) | (b >= _WRAP_FREE) | (b <= -_WRAP_FREE)
+            | (post >= _WRAP_FREE) | (post <= -_WRAP_FREE)
+        )
+        close[wide] = _isclose(a[wide] + b[wide].astype(np.float64), post[wide].astype(np.float64))
 
     def value(col, row):
         return col[row].item()
@@ -578,6 +598,25 @@ _THETA_TEXT = np.frombuffer(
 ).reshape(len(THETAS), _THETA_WIDTH)
 _POWERS_OF_TEN = 10 ** np.arange(19, dtype=np.int64)  # every power below 2**63
 
+# The fields of a block of integer text: counts as int64 and theta as bytes,
+# in a field of whole 8-byte words wider than theta's longest spelling, so a
+# longer field is never cut down to a spelling. Theta is compared with each
+# spelling, NUL-padded to the field, as uint64 words (`_THETA_WORDS`): a
+# fifth of the time of a bytes comparison.
+_THETA_FIELD = _THETA_WIDTH // 8 * 8 + 8
+_INTEGER_CSV_DTYPE = np.dtype([
+    (name, f"S{_THETA_FIELD}" if name == "theta" else np.int64) for name, _ in _CSV_FIELDS
+])
+_THETA_WORDS = np.dtype({
+    "names": [f"w{i}" for i in range(_THETA_FIELD // 8)],
+    "formats": [np.uint64] * (_THETA_FIELD // 8),
+    "offsets": [_INTEGER_CSV_DTYPE.fields["theta"][1] + 8 * i for i in range(_THETA_FIELD // 8)],
+    "itemsize": _INTEGER_CSV_DTYPE.itemsize,
+})
+_THETA_SPELLINGS = [
+    np.frombuffer(repr(theta).encode().ljust(_THETA_FIELD, b"\0"), dtype=np.uint64).tolist() for theta in THETAS
+]
+
 
 def _integer_lines(block: ScanTable) -> bytes:
     """The CSV lines of `block`, whose count columns are all int64, formatted in numpy.
@@ -636,7 +675,14 @@ def write_records(path, records) -> None:
 
 
 def _integral(col: np.ndarray) -> np.ndarray:
-    """int64 if every entry is a whole number, as the file's own integers read."""
+    """A count column as int64 if every entry is a whole number.
+
+    An int64 column (every block read as integer text) is returned as it
+    is, exact to 2**63 - 1. A float64 one becomes int64 only if every entry
+    is whole and below 2**53, where float64 still holds every integer.
+    """
+    if col.dtype.kind == "i":
+        return col
     if np.isfinite(col).all() and (np.abs(col) < 2.0**53).all() and (col == np.trunc(col)).all():
         return col.astype(np.int64)
     return col
@@ -663,44 +709,88 @@ def _field_error(path, lines, linenos) -> str | None:
 
 def _line_blocks(f, rows: int):
     """The lines of text file `f` as `str.splitlines` splits its whole text,
-    in lists of `rows` lines (the last may differ).
+    in lists of `rows` lines (the last may differ), each with whether the
+    text read so far holds a NUL.
 
     Text is read in pieces of 64 Ki characters and split just after each
     piece's last newline; a newline always ends a line, so splitting piece by
     piece cuts the text where splitting all of it would.
     """
-    lines, rest = [], ""
+    lines, rest, nul = [], "", False
     while chunk := f.read(1 << 16):
+        nul = nul or "\0" in chunk
         rest += chunk
         cut = rest.rfind("\n") + 1
         lines += rest[:cut].splitlines()
         rest = rest[cut:]
         while len(lines) >= rows:
-            yield lines[:rows]
+            yield lines[:rows], nul
             del lines[:rows]
     lines += rest.splitlines()
     if lines:
-        yield lines
+        yield lines, nul
 
 
-def _parse_block(path, lines, first: int):
-    """(line numbers, column arrays in _CSV_DTYPE order) of the non-blank
-    `lines`, which start at line `first` of the file; None if all are blank."""
+def _loadtxt(body, dtype) -> np.ndarray:
+    # Sized once by max_rows: grown row by row, the array's reallocations
+    # would set the block's peak.
+    return np.loadtxt(body, delimiter=",", dtype=dtype, comments=None, ndmin=1, max_rows=len(body))
+
+
+def _spelled(words: np.ndarray, spelling: list) -> np.ndarray:
+    """Rows whose theta field (`_THETA_WORDS`) holds `spelling`, word for word."""
+    match = words["w0"] == spelling[0]
+    for name, word in zip(_THETA_WORDS.names[1:], spelling[1:]):
+        match &= words[name] == word
+    return match
+
+
+def _integer_columns(body) -> list | None:
+    """The columns of `body` in _CSV_DTYPE order if it is integer text: every
+    index and count field an int64 integer and every theta one of the
+    spellings of THETAS (theta is then THETAS[slot] exactly). None otherwise.
+
+    loadtxt drops NULs from the end of a bytes field, so `0.0\\0` would read
+    as `0.0`: text holding a NUL must not come here.
+    """
+    try:
+        data = _loadtxt(body, _INTEGER_CSV_DTYPE)
+    except ValueError:
+        return None
+    words = data.view(_THETA_WORDS)
+    slot = _spelled(words, _THETA_SPELLINGS[1])
+    if not (slot | _spelled(words, _THETA_SPELLINGS[0])).all():
+        return None
+    theta = np.where(slot, THETAS[1], THETAS[0])
+    return [theta if name == "theta" else np.ascontiguousarray(data[name]) for name in _CSV_DTYPE.names]
+
+
+def _parse_block(path, lines, first: int, integral: bool):
+    """(line numbers, column arrays in _CSV_DTYPE order, whether they were
+    read as integer text) of the non-blank `lines`, which start at line
+    `first` of the file; None if all are blank.
+
+    Where `integral` (the file's text so far is integer text and holds no
+    NUL), the block is first read as integer text (`_integer_columns`);
+    otherwise, or if that fails, every field is parsed as _CSV_DTYPE gives it.
+    """
     body, linenos = lines, range(first, first + len(lines))
     if not all(map(str.strip, body)):
         linenos = [i for i, line in enumerate(lines, start=first) if line.strip()]
         body = [lines[i - first] for i in linenos]
     if not body:
         return None
-    try:
-        # Sized once by max_rows: grown row by row, the array's
-        # reallocations would set the block's peak.
-        data = np.loadtxt(body, delimiter=",", dtype=_CSV_DTYPE, comments=None, ndmin=1, max_rows=len(body))
-    except ValueError as exc:
-        raise DataFormatError(_field_error(path, body, linenos) or f"{path}: {exc}") from exc
+    columns = _integer_columns(body) if integral else None
+    integral = columns is not None
+    if not integral:
+        try:
+            data = _loadtxt(body, _CSV_DTYPE)
+        except ValueError as exc:
+            raise DataFormatError(_field_error(path, body, linenos) or f"{path}: {exc}") from exc
+        columns = [np.ascontiguousarray(data[name]) for name in _CSV_DTYPE.names]
     if not isinstance(linenos, range):
         linenos = np.array(linenos)
-    return linenos, [np.ascontiguousarray(data[name]) for name in _CSV_DTYPE.names]
+    return linenos, columns, integral
 
 
 def read_records(path, grid: FrequencyGrid) -> ScanTable:
@@ -714,33 +804,45 @@ def read_records(path, grid: FrequencyGrid) -> ScanTable:
     The file is read and parsed _BLOCK_ROWS lines at a time, each block's
     fields kept as per-column arrays and its text freed before the next is
     read, so memory follows the table, not the text. Line numbers count
-    across blocks. The record checks run once on the whole table, and a
-    count column is int64 only if every entry of it in the file is a whole
-    number.
+    across blocks. The record checks run once on the whole table.
+
+    Each block is first read as integer text, as `write_records` writes a
+    table with integer counts: every count an int64 integer and every theta
+    `repr(THETAS[slot])` byte for byte. A block that is not (real-valued
+    counts from exact mode, another spelling of a phase, a malformed line)
+    and every block after it parse their counts and theta as float64;
+    below 2**53 both give the same columns. A count column is int64 only if
+    every entry of it in the file is a whole number: exact to 2**63 - 1
+    where every block was integer text, below 2**53 otherwise.
     """
     names = _CSV_DTYPE.names
-    pieces = {name: [np.zeros(0, dtype=_CSV_DTYPE[name])] for name in names}
+    # int64 but for theta, so that integer blocks join to int64 columns
+    pieces = {name: [np.zeros(0, dtype=_CSV_DTYPE[name] if name == "theta" else np.int64)] for name in names}
     spans = []  # (first row, line numbers of its rows) of each parsed block
     rows = lineno = 0  # rows parsed and lines read so far
+    integral = True  # until a block is not integer text
+    block = None
     try:
         with open(path) as f:
-            blocks = _line_blocks(f, _BLOCK_ROWS)
-            lines = next(blocks, [""])
-            if lines[0].strip() != RECORD_HEADER:
-                raise DataFormatError(f"{path}: expected header {RECORD_HEADER!r}")
-            lines[0] = ""  # skipped, as a blank line is
-            while lines:
-                block = _parse_block(path, lines, lineno + 1)
+            for lines, nul in _line_blocks(f, _BLOCK_ROWS):
+                if not lineno:  # the first block starts with the header
+                    if lines[0].strip() != RECORD_HEADER:
+                        break
+                    del lines[0]
+                    lineno = 1
+                block = _parse_block(path, lines, lineno + 1, integral and not nul)
                 lineno += len(lines)
                 del lines  # free this block's text before reading the next
                 if block is not None:
+                    integral = block[2]
                     spans.append((rows, block[0]))
                     rows += len(block[0])
                     for name, col in zip(names, block[1]):
                         pieces[name].append(col)
-                lines = next(blocks, [])
     except UnicodeDecodeError as exc:
         raise DataFormatError(f"{path}: not {exc.encoding} text ({exc.reason})") from exc
+    if not lineno:
+        raise DataFormatError(f"{path}: expected header {RECORD_HEADER!r}")
     del block  # it holds the last block's pieces, which the joins below free
     cols = {}
     for name in names:  # each column joined once, its blocks freed before the next

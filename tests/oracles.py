@@ -19,6 +19,10 @@ Each route emits the package's support-clipping diagnostic through the public
 that `pool_records`' short path and its counting path must match in dtype,
 shape and bytes. `records_csv_by_rows` is the record CSV formatted one
 f-string per row: the reference for the bytes `write_records` writes.
+`parse_block_as_floats` parses a block of record lines with every count and
+theta as float64, never as integer text: put in place of
+`measurement._parse_block`, it gives the outcome that `read_records` must
+give.
 """
 
 from __future__ import annotations
@@ -34,7 +38,8 @@ from spectomo.interferometer import (
     cross_section_transform,
     warn_support_clipping,
 )
-from spectomo.measurement import _COLUMNS, _SUMMED, RECORD_HEADER, THETAS, ScanTable
+from spectomo.errors import DataFormatError
+from spectomo.measurement import _COLUMNS, _CSV_DTYPE, _SUMMED, RECORD_HEADER, THETAS, ScanTable, _field_error
 
 _EPS = float(np.finfo(np.float64).eps)
 
@@ -224,3 +229,23 @@ def records_csv_by_rows(table: ScanTable) -> bytes:
             f"{_count_text(post)},{_count_text(a)},{_count_text(b)}\n"
         )
     return "".join(lines).encode()
+
+
+def parse_block_as_floats(path, lines, first: int, integral: bool):
+    """`measurement._parse_block` with only the float parse: (line numbers,
+    column arrays in _CSV_DTYPE order, False) of the non-blank `lines`, which
+    start at line `first` of the file; None if all are blank. `integral` is
+    ignored."""
+    body, linenos = lines, range(first, first + len(lines))
+    if not all(map(str.strip, body)):
+        linenos = [i for i, line in enumerate(lines, start=first) if line.strip()]
+        body = [lines[i - first] for i in linenos]
+    if not body:
+        return None
+    try:
+        data = np.loadtxt(body, delimiter=",", dtype=_CSV_DTYPE, comments=None, ndmin=1)
+    except ValueError as exc:
+        raise DataFormatError(_field_error(path, body, linenos) or f"{path}: {exc}") from exc
+    if not isinstance(linenos, range):
+        linenos = np.array(linenos)
+    return linenos, [np.ascontiguousarray(data[name]) for name in _CSV_DTYPE.names], False

@@ -7,7 +7,7 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
-from hypothesis import HealthCheck, given, settings
+from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 from spectomo import (
@@ -31,7 +31,7 @@ from spectomo import measurement
 from spectomo.cli import main
 from spectomo.diagnostics import capture
 from spectomo.measurement import RECORD_HEADER, THETAS
-from oracles import pool_by_unique, records_csv_by_rows
+from oracles import parse_block_as_floats, pool_by_unique, records_csv_by_rows
 
 GRID = make_grid(0.0, 16.0, 16)
 PROPERTY = settings(
@@ -226,6 +226,11 @@ def test_csv_accepts_a_list_of_records_and_blank_lines(tmp_path):
     assert read_records(path, GRID) == table
 
 
+def _one_row(*fields):
+    """A one-row table of the given column values."""
+    return ScanTable(*(np.array([field]) for field in fields))
+
+
 def _bad_csv(tmp_path, bad_line, lineno=9):
     lines = [RECORD_HEADER] + [
         f"{d},{k},{t!r},100,100,60,40"
@@ -253,6 +258,18 @@ MALFORMED_ROWS = {
     "non-ascii-digit": ("0,0,0.0,\u0661\u0660\u0660,100,60,40", "non-ASCII character"),
     "counts-A-digit-separator": ("0,0,0.0,100,100,6_0,40", "counts_A = '6_0' holds a digit separator"),
     "theta-digit-separator": ("0,0,0_0.0,100,100,60,40", "theta_rad = '0_0.0' holds a digit separator"),
+    # loadtxt drops a bytes field's trailing NULs, and cuts a field at its width.
+    "theta-trailing-nul": ("0,0,0.0\0,100,100,60,40", "could not convert string to float: '0.0\\x00'"),
+    "theta-nul-then-more": (
+        "0,0,1.5707963267948966\0x,100,100,60,40", "could not convert string to float: '1.5707963267948966\\x00x'"
+    ),
+    "theta-19-characters": ("0,0,1.57079632679489660,100,100,60,50", "counts_A + counts_B = 110 != shots_postselected = 100"),
+    "theta-19-characters-unparsable": (
+        "0,0,1.5707963267948966e,100,100,60,40", "could not convert string to float: '1.5707963267948966e'"
+    ),
+    "count-int64-overflow": (
+        "0,0,0.0,100,100,99999999999999999999,40", "counts_A + counts_B = 1e+20 != shots_postselected = 100"
+    ),
 }
 
 
@@ -264,6 +281,120 @@ def test_malformed_row_names_its_line(tmp_path, case):
         read_records(path, GRID)
     assert str(excinfo.value).startswith(f"{path}:9: ")
     assert reason in str(excinfo.value)
+
+
+@pytest.mark.parametrize("case", sorted(MALFORMED_ROWS))
+def test_malformed_row_gives_the_float_parses_message(tmp_path, monkeypatch, case):
+    path = _bad_csv(tmp_path, MALFORMED_ROWS[case][0])
+    assert _read_outcome(path, GRID) == _float_parse_outcome(path, GRID, monkeypatch)
+
+
+@pytest.mark.parametrize(
+    "post, a, b, total",
+    # int64 arithmetic would wrap to a match: -2**63 - 0 has absolute value
+    # -2**63, and (2**63 - 1) * 2 wraps to -2.
+    [(-(2**63), 0, 0, 0), (-2, 2**63 - 1, 2**63 - 1, 2**64 - 2)],
+    ids=["post-min-int64", "counts-sum-past-int64"],
+)
+def test_counts_whose_int64_check_would_wrap_are_rejected(tmp_path, post, a, b, total):
+    reason = f"counts_A + counts_B = {total} != shots_postselected = {post}"
+    path = _bad_csv(tmp_path, f"0,0,0.0,100,{post},{a},{b}")
+    with pytest.raises(DataFormatError, match=rf"^{re.escape(str(path))}:9: {re.escape(reason)}$"):
+        read_records(path, GRID)
+    with pytest.raises(ValueError, match=rf"^row 0: {re.escape(reason)}$"):
+        _one_row(0, 0, 0, 0.0, 100, post, a, b)
+
+
+def test_counts_near_int64_that_are_close_stay_valid():
+    # 2**62 + 2**62 = 2**63 is 1 from 2**63 - 1, within the relative tolerance.
+    assert _one_row(0, 0, 0, 0.0, 2**63 - 1, 2**63 - 1, 2**62, 2**62).counts_a.tolist() == [2**62]
+
+
+# Other spellings of the values `write_records` writes, by field: thetas by
+# slot (each within THETA_TOL of its phase), counts by their integer text.
+THETA_SPELLINGS = (("0.0", " 0.0", "0.00", "0e0"), ("1.5707963267948966", "1.57079632679", "1.57079632679489660"))
+COUNT_SPELLINGS = ("{}", "{}.0", "+{}", " {}")
+
+
+def _respelled(lines, draw):
+    """Record lines with a theta or an integer count of one row in four spelled
+    at random, blank and whitespace-only lines inserted and, at times, one
+    malformed row."""
+    out = [lines[0]]
+    for line in lines[1:]:
+        out += draw(st.lists(st.sampled_from(["", "   ", "\t"]), max_size=1))
+        fields = line.split(",")
+        if draw(st.integers(0, 3)) == 0:
+            i = draw(st.sampled_from([2, 4, 5, 6]))
+            if i == 2:
+                fields[2] = draw(st.sampled_from(THETA_SPELLINGS[fields[2] != "0.0"]))
+            elif fields[i].isdigit():
+                fields[i] = draw(st.sampled_from(COUNT_SPELLINGS)).format(fields[i])
+        out.append(",".join(fields))
+    if draw(st.integers(0, 3)) == 0:
+        out.insert(draw(st.integers(1, len(out))), MALFORMED_ROWS[draw(st.sampled_from(sorted(MALFORMED_ROWS)))][0])
+    return out
+
+
+def _columns(outcome):
+    """A read's outcome as (dtype, bytes) of each column, or its message."""
+    if isinstance(outcome, str):
+        return outcome
+    return [(col.dtype, col.tobytes()) for col in outcome.columns]
+
+
+@pytest.mark.parametrize("block_rows", [1, 3, 1 << 14])
+@PROPERTY
+@given(table=st.one_of(tables(integer_counts=True), tables(integer_counts=False)), data=st.data())
+def test_read_gives_the_float_parses_outcome_for_any_spelling(tmp_path, block_rows, table, data):
+    path = tmp_path / "records.csv"
+    write_records(path, table)
+    lines = _respelled(path.read_text().splitlines(), data.draw)
+    path.write_text("\n".join(lines) + "\n")
+    with pytest.MonkeyPatch.context() as m:
+        m.setattr(measurement, "_BLOCK_ROWS", block_rows)
+        assert _columns(_read_outcome(path, GRID)) == _columns(_float_parse_outcome(path, GRID, m))
+
+
+def _parse_dtypes(path, monkeypatch, block_rows):
+    """The table read from `path` in blocks of `block_rows` lines, and the
+    dtype of each block parse tried."""
+    dtypes = []
+    loadtxt = measurement._loadtxt
+
+    def spy(body, dtype):
+        dtypes.append(dtype)
+        return loadtxt(body, dtype)
+
+    with monkeypatch.context() as m:
+        m.setattr(measurement, "_loadtxt", spy)
+        m.setattr(measurement, "_BLOCK_ROWS", block_rows)
+        return read_records(path, GRID), dtypes
+
+
+@pytest.mark.parametrize("block_rows", [3, 1 << 14])
+def test_a_sampled_scan_is_read_as_integer_text_only(tmp_path, monkeypatch, block_rows):
+    table = _scan()
+    path = tmp_path / "records.csv"
+    write_records(path, table)
+    back, dtypes = _parse_dtypes(path, monkeypatch, block_rows)
+    assert back == table
+    assert len(dtypes) == -(-(len(table) + 1) // block_rows)
+    assert measurement._CSV_DTYPE not in dtypes
+
+
+@pytest.mark.parametrize("block_rows", [3, 1 << 14])
+def test_an_exact_scan_fails_integer_text_at_most_once(tmp_path, monkeypatch, block_rows):
+    # In 3-line blocks the first holds the calibration pair, whose exact
+    # counts (380 and 20, 200 and 200) are whole: it reads as integer text.
+    table = _scan(exact=True)
+    path = tmp_path / "records.csv"
+    write_records(path, table)
+    back, dtypes = _parse_dtypes(path, monkeypatch, block_rows)
+    assert back == table and back.counts_a.dtype == np.float64
+    tried = dtypes.count(measurement._INTEGER_CSV_DTYPE)
+    assert dtypes == [measurement._INTEGER_CSV_DTYPE] * tried + [measurement._CSV_DTYPE] * (len(dtypes) - tried)
+    assert len(dtypes) == -(-(len(table) + 1) // block_rows) + 1  # one block parsed twice
 
 
 def test_first_bad_line_wins(tmp_path):
@@ -283,6 +414,13 @@ def _read_outcome(path, grid):
         return read_records(path, grid)
     except DataFormatError as exc:
         return str(exc)
+
+
+def _float_parse_outcome(path, grid, monkeypatch):
+    """`_read_outcome` with every block parsed as floats, as the oracle does."""
+    with monkeypatch.context() as m:
+        m.setattr(measurement, "_parse_block", parse_block_as_floats)
+        return _read_outcome(path, grid)
 
 
 def _read_in_blocks(path, monkeypatch, grid=GRID):
@@ -342,6 +480,8 @@ def integer_tables(draw):
 @pytest.mark.parametrize("block_rows", [1, 3, 1 << 14])
 @PROPERTY
 @given(table=integer_tables())
+# Past 2**53, where float64 counts would round: 2**53 + 1 reads as 2**53.
+@example(table=_one_row(0, 0, 0, 0.0, 2**53 + 3, 2**53 + 3, 2**53 + 1, 2))
 def test_integer_writer_matches_one_f_string_per_row(tmp_path, block_rows, table):
     path = tmp_path / "records.csv"
     with pytest.MonkeyPatch.context() as m:
@@ -349,10 +489,12 @@ def test_integer_writer_matches_one_f_string_per_row(tmp_path, block_rows, table
         m.setattr(measurement, "_formatted_lines", None)  # the integer path must not need it
         write_records(path, table)
     assert path.read_bytes() == records_csv_by_rows(table)
-    # Count fields parse as float64, so they read back as the table's
-    # integers only below 2**53.
-    if all(int(col.max(initial=0)) < 2**53 for col in (table.shots_postselected, table.counts_a, table.counts_b)):
-        assert read_records(path, WIDE_GRID) == table
+    with pytest.MonkeyPatch.context() as m:
+        m.setattr(measurement, "_BLOCK_ROWS", block_rows)
+        back = read_records(path, WIDE_GRID)
+    # Equality casts across dtypes, so the dtypes are compared too.
+    assert back == table
+    assert [col.dtype for col in back.columns] == [col.dtype for col in table.columns]
 
 
 @pytest.mark.parametrize("exact", [False, True], ids=["sampled", "exact"])
