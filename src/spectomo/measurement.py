@@ -30,6 +30,7 @@ from __future__ import annotations
 import bisect
 import cmath
 import math
+import warnings
 from dataclasses import dataclass
 from itertools import chain, repeat
 
@@ -151,7 +152,7 @@ def _first_invalid(cols: dict, checks=(), phase=None) -> tuple[int, str] | None:
     range check (see `_theta_slots`). Where both counts are int64, a row
     holding a count of 2**61 or more in magnitude has its sum checked again
     in float64, as math.isclose converts it, since int64 arithmetic would
-    wrap.
+    wrap; int64 post-selected shots are compared with attempted exactly.
     """
     delta, tau_index, slot = cols["delta_index"], cols["tau_index"], cols["theta_slot"]
     attempted, post = cols["shots_attempted"], cols["shots_postselected"]
@@ -173,7 +174,8 @@ def _first_invalid(cols: dict, checks=(), phase=None) -> tuple[int, str] | None:
         phase or ((slot < 0) | (slot > 1), lambda r: f"theta_slot must be 0 or 1, got {value(slot, r)}"),
         ((attempted < 0) | (a < 0) | (b < 0), lambda r: "shot and count fields must be nonnegative"),
         (
-            post > attempted + 1e-9,
+            # Exact for int64: past 2**53, float64 rounds attempted + 1 to attempted.
+            post > attempted if post.dtype.kind == "i" else post > attempted + 1e-9,
             lambda r: f"post-selected shots ({value(post, r)}) exceed attempted ({value(attempted, r)})",
         ),
         (
@@ -598,24 +600,12 @@ _THETA_TEXT = np.frombuffer(
 ).reshape(len(THETAS), _THETA_WIDTH)
 _POWERS_OF_TEN = 10 ** np.arange(19, dtype=np.int64)  # every power below 2**63
 
-# The fields of a block of integer text: counts as int64 and theta as bytes,
-# in a field of whole 8-byte words wider than theta's longest spelling, so a
-# longer field is never cut down to a spelling. Theta is compared with each
-# spelling, NUL-padded to the field, as uint64 words (`_THETA_WORDS`): a
-# fifth of the time of a bytes comparison.
-_THETA_FIELD = _THETA_WIDTH // 8 * 8 + 8
+# The fields of a block of integer text: counts as int64 and theta as bytes
+# one character wider than its longest spelling, so a longer field is never
+# cut down to a spelling.
 _INTEGER_CSV_DTYPE = np.dtype([
-    (name, f"S{_THETA_FIELD}" if name == "theta" else np.int64) for name, _ in _CSV_FIELDS
+    (name, f"S{_THETA_WIDTH + 1}" if name == "theta" else np.int64) for name, _ in _CSV_FIELDS
 ])
-_THETA_WORDS = np.dtype({
-    "names": [f"w{i}" for i in range(_THETA_FIELD // 8)],
-    "formats": [np.uint64] * (_THETA_FIELD // 8),
-    "offsets": [_INTEGER_CSV_DTYPE.fields["theta"][1] + 8 * i for i in range(_THETA_FIELD // 8)],
-    "itemsize": _INTEGER_CSV_DTYPE.itemsize,
-})
-_THETA_SPELLINGS = [
-    np.frombuffer(repr(theta).encode().ljust(_THETA_FIELD, b"\0"), dtype=np.uint64).tolist() for theta in THETAS
-]
 
 
 def _integer_lines(block: ScanTable) -> bytes:
@@ -737,14 +727,6 @@ def _loadtxt(body, dtype) -> np.ndarray:
     return np.loadtxt(body, delimiter=",", dtype=dtype, comments=None, ndmin=1, max_rows=len(body))
 
 
-def _spelled(words: np.ndarray, spelling: list) -> np.ndarray:
-    """Rows whose theta field (`_THETA_WORDS`) holds `spelling`, word for word."""
-    match = words["w0"] == spelling[0]
-    for name, word in zip(_THETA_WORDS.names[1:], spelling[1:]):
-        match &= words[name] == word
-    return match
-
-
 def _integer_columns(body) -> list | None:
     """The columns of `body` in _CSV_DTYPE order if it is integer text: every
     index and count field an int64 integer and every theta one of the
@@ -754,12 +736,16 @@ def _integer_columns(body) -> list | None:
     as `0.0`: text holding a NUL must not come here.
     """
     try:
-        data = _loadtxt(body, _INTEGER_CSV_DTYPE)
-    except ValueError:
+        with warnings.catch_warnings():
+            # numpy releases that deprecate parsing an integer via a float
+            # still do it, truncating `60.5` to 60 with only a
+            # DeprecationWarning: as an error, it fails the parse.
+            warnings.simplefilter("error", DeprecationWarning)
+            data = _loadtxt(body, _INTEGER_CSV_DTYPE)
+    except (ValueError, DeprecationWarning):
         return None
-    words = data.view(_THETA_WORDS)
-    slot = _spelled(words, _THETA_SPELLINGS[1])
-    if not (slot | _spelled(words, _THETA_SPELLINGS[0])).all():
+    slot = data["theta"] == repr(THETAS[1]).encode()
+    if not (slot | (data["theta"] == repr(THETAS[0]).encode())).all():
         return None
     theta = np.where(slot, THETAS[1], THETAS[0])
     return [theta if name == "theta" else np.ascontiguousarray(data[name]) for name in _CSV_DTYPE.names]

@@ -290,19 +290,23 @@ def test_malformed_row_gives_the_float_parses_message(tmp_path, monkeypatch, cas
 
 
 @pytest.mark.parametrize(
-    "post, a, b, total",
-    # int64 arithmetic would wrap to a match: -2**63 - 0 has absolute value
-    # -2**63, and (2**63 - 1) * 2 wraps to -2.
-    [(-(2**63), 0, 0, 0), (-2, 2**63 - 1, 2**63 - 1, 2**64 - 2)],
-    ids=["post-min-int64", "counts-sum-past-int64"],
+    "attempted, post, a, b, reason",
+    [
+        # int64 arithmetic would wrap to a match: -2**63 - 0 has absolute
+        # value -2**63, and (2**63 - 1) * 2 wraps to -2.
+        (100, -(2**63), 0, 0, f"counts_A + counts_B = 0 != shots_postselected = {-(2**63)}"),
+        (100, -2, 2**63 - 1, 2**63 - 1, f"counts_A + counts_B = {2**64 - 2} != shots_postselected = -2"),
+        # In float64, 2**53 + 1 rounds to 2**53 and would pass as attempted.
+        (2**53, 2**53 + 1, 2**53 + 1, 0, f"post-selected shots ({2**53 + 1}) exceed attempted ({2**53})"),
+    ],
+    ids=["post-min-int64", "counts-sum-past-int64", "post-past-2-53-exceeds-attempted"],
 )
-def test_counts_whose_int64_check_would_wrap_are_rejected(tmp_path, post, a, b, total):
-    reason = f"counts_A + counts_B = {total} != shots_postselected = {post}"
-    path = _bad_csv(tmp_path, f"0,0,0.0,100,{post},{a},{b}")
+def test_counts_that_int64_checks_exactly_are_rejected(tmp_path, attempted, post, a, b, reason):
+    path = _bad_csv(tmp_path, f"0,0,0.0,{attempted},{post},{a},{b}")
     with pytest.raises(DataFormatError, match=rf"^{re.escape(str(path))}:9: {re.escape(reason)}$"):
         read_records(path, GRID)
     with pytest.raises(ValueError, match=rf"^row 0: {re.escape(reason)}$"):
-        _one_row(0, 0, 0, 0.0, 100, post, a, b)
+        _one_row(0, 0, 0, 0.0, attempted, post, a, b)
 
 
 def test_counts_near_int64_that_are_close_stay_valid():
@@ -395,6 +399,33 @@ def test_an_exact_scan_fails_integer_text_at_most_once(tmp_path, monkeypatch, bl
     tried = dtypes.count(measurement._INTEGER_CSV_DTYPE)
     assert dtypes == [measurement._INTEGER_CSV_DTYPE] * tried + [measurement._CSV_DTYPE] * (len(dtypes) - tried)
     assert len(dtypes) == -(-(len(table) + 1) // block_rows) + 1  # one block parsed twice
+
+
+def _loadtxt_parsing_integers_via_floats(loadtxt):
+    """`_loadtxt` as numpy releases that deprecate parsing an integer via a
+    float run it: such a field is truncated, with a DeprecationWarning."""
+
+    def parse(body, dtype):
+        if dtype != measurement._INTEGER_CSV_DTYPE:
+            return loadtxt(body, dtype)
+        data = loadtxt(body, [(name, np.float64 if dtype[name].kind == "i" else dtype[name]) for name in dtype.names])
+        if any((data[name] != np.trunc(data[name])).any() for name in dtype.names if dtype[name].kind == "i"):
+            warnings.warn("loadtxt(): Parsing an integer via a float is deprecated.", DeprecationWarning)
+        return data.astype(dtype)
+
+    return parse
+
+
+@pytest.mark.parametrize("action", ["ignore", "once"])
+def test_an_integer_parsed_via_a_float_fails_integer_text(tmp_path, monkeypatch, action):
+    table = _scan(exact=True)
+    path = tmp_path / "records.csv"
+    write_records(path, table)
+    monkeypatch.setattr(measurement, "_loadtxt", _loadtxt_parsing_integers_via_floats(measurement._loadtxt))
+    with warnings.catch_warnings():
+        warnings.simplefilter(action)  # as library callers and the CLI see warnings
+        back = read_records(path, GRID)
+    assert back == table and back.counts_a.dtype == np.float64
 
 
 def test_first_bad_line_wins(tmp_path):
