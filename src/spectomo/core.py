@@ -20,9 +20,10 @@ import gc
 import json
 import locale
 import math
+import os
 import re
 from collections import deque
-from contextlib import ExitStack, contextmanager
+from contextlib import ExitStack
 from dataclasses import dataclass, field
 from functools import cached_property
 from itertools import chain, repeat
@@ -626,8 +627,8 @@ def _heatmap_text(grid: FrequencyGrid):
 
 def density_matrix_from_dict(doc: dict) -> SpectralDensityMatrix:
     """The state of a density-matrix document: `omega_min`, `d_omega`, `n`
-    and `rho`, n*n [re, im] pairs of finite numbers (a list, or the
-    (n*n, 2) float64 array `_canonical_document` makes).
+    and `rho`, n*n [re, im] pairs of finite numbers (a list, or an
+    (n*n, 2) array such as the float64 one the loader parses from a file).
 
     Raises DataFormatError for a malformed document, entries that are not
     pairs of finite numbers, a kernel whose max|K - K^dagger| exceeds
@@ -733,170 +734,126 @@ def save_density_matrix(
         f.write("]}\n")
 
 
-# The `rho` value as `save_density_matrix` writes it: [re, im] pairs of finite
-# floats exactly as `float.__repr__` spells them, each a valid JSON number,
-# matched on the file's bytes (such text is ASCII). The possessive repeat `*+`
-# (Python 3.11) keeps no backtracking state per pair; a plain `*` held about
-# 0.9 GB matching an n=1024 file.
+# A run of `rho` pairs as `save_density_matrix` writes them: [re, im] pairs of
+# finite floats exactly as `float.__repr__` spells them, each a valid JSON
+# number, matched on the file's bytes (such text is ASCII). The possessive
+# repeat `*+` (Python 3.11) keeps no backtracking state per pair.
 _REPR_FLOAT = r"-?(?:0|[1-9][0-9]*)(?:\.[0-9]+(?:e[-+][0-9]+)?|e[-+][0-9]+)"
 _REPR_PAIR = rf"\[{_REPR_FLOAT}, {_REPR_FLOAT}\]"
-_CANONICAL_RHO = re.compile(rf"\[(?:{_REPR_PAIR}(?:, {_REPR_PAIR})*+)?\]".encode())
+_PAIRS = re.compile(rf"{_REPR_PAIR}(?:, {_REPR_PAIR})*+".encode())
 _RHO_KEY = b'"rho": '
-# Bytes of `rho` text parsed per block: the text's copies stay near 256 kB,
-# so a load holds the file's bytes and its array, not a second text.
+# Bytes of a file read per block after its head, so a load holds one block
+# of text beside the array parsed from it.
 _PARSE_CHARS = 1 << 18
 
 
-def _parse_pairs(data: bytes, start: int, stop: int) -> np.ndarray:
-    """The (entries, 2) float64 array of data[start:stop], a `rho` list that
-    matches `_CANONICAL_RHO`, parsed by numpy about _PARSE_CHARS bytes at a time.
+def _head(f) -> tuple[bytes, bytes]:
+    """The bytes of the binary file `f` up to and including its first
+    `"rho": `, read 64 kB at a time, and the bytes read past them; two
+    empty strings if it has no `"rho": `."""
+    head = bytearray()
+    while block := f.read(1 << 16):
+        seen = max(len(head) - len(_RHO_KEY) + 1, 0)
+        head += block
+        key = head.find(_RHO_KEY, seen)
+        if key >= 0:
+            end = key + len(_RHO_KEY)
+            return bytes(head[:end]), bytes(head[end:])
+    return b"", b""
 
-    Blocks end between two pairs, so every number is parsed as in one pass.
+
+def _head_document(head: bytes) -> dict | None:
+    """The document that `head`, a file's bytes up to its first `"rho": `,
+    begins, else None.
+
+    The head is decoded as `Path.read_text` decodes the file; with `[]}`
+    appended it must be a JSON object whose `rho` is `[]`, and that object,
+    grid fields and all, is returned.
     """
-    out = np.empty((data.count(b"[", start + 1, stop), 2))
-    row, pos, stop = 0, start + 1, stop - 1  # inside the list's brackets
-    while pos < stop:
-        cut = data.find(b"], [", min(pos + _PARSE_CHARS, stop), stop)
-        end = stop if cut < 0 else cut + 1
-        block = np.fromstring(data[pos:end].translate(None, b"[]"), sep=",")
-        out[row : row + len(block) // 2] = block.reshape(-1, 2)
-        row += len(block) // 2
-        pos = end + 2  # past the ", " between pairs
-    return out
-
-
-def _head_document(data: bytes, encoding: str) -> dict | None:
-    """The head of a file laid out as `save_density_matrix` writes it, else None.
-
-    The head is the text before the first `"rho": ` in `data`, decoded in
-    `encoding`; with `[]}` appended it must be a JSON object whose `rho` is
-    `[]`, and that object, grid fields and all, is returned.
-    """
-    key = data.find(_RHO_KEY)
-    if key < 0:
-        return None
     try:
-        doc = json.loads(data[: key + len(_RHO_KEY)].decode(encoding) + "[]}")
+        doc = json.loads(head.decode(locale.getpreferredencoding(False)) + "[]}")
     except (UnicodeDecodeError, json.JSONDecodeError):
         return None
     return doc if isinstance(doc, dict) and doc.get("rho") == [] else None
 
 
-def _canonical_document(data: bytes, encoding: str = "utf-8") -> dict | None:
-    """The document of a file laid out as `save_density_matrix` writes it, else None.
+def _read_pairs(f, data: bytes, count: int) -> np.ndarray | None:
+    """The (count, 2) float64 array of a `rho` list that `data`, the bytes
+    read past a file's head, begins and the rest of the binary file `f`
+    continues, read _PARSE_CHARS bytes at a time; else None.
 
-    `data` is the file's bytes, read as text in `encoding` (an
-    ASCII-compatible one). Such a file is `<head>"rho": <body>}` plus JSON
-    whitespace, where `<body>` matches `_CANONICAL_RHO` and `<head>"rho": []}`
-    is a JSON object whose `rho` is `[]` (see `_head_document`). It is then
-    valid JSON whose last key is `rho`, so `json.loads` of its text gives
-    the same dict; here only the head is decoded, and `rho` comes back as an
-    (entries, 2) float64 array parsed by numpy block by block from the bytes
-    (see `_parse_pairs`), with the values `float()` gives each number, and
-    no Python object per entry.
+    The list must hold `count` pairs that `_PAIRS` matches, and only `}` and
+    JSON whitespace may follow it. Each block is cut after its last pair,
+    matched and parsed by numpy with the values `float()` gives, so every
+    number is parsed as in one piece and no Python object is made per entry;
+    a block that completes no pair ends the attempt. The array is sized only
+    if the file is large enough to hold `count` pairs.
     """
-    key = data.find(_RHO_KEY)
-    if key < 0:
+    if os.fstat(f.fileno()).st_size < 10 * count:  # a pair takes 10 bytes or more: [0.0, 0.0]
         return None
-    start = key + len(_RHO_KEY)
-    end = len(data)
-    while end > start and data[end - 1] in b" \t\n\r":
-        end -= 1
-    if end <= start or data[end - 1 : end] != b"}" or not _CANONICAL_RHO.fullmatch(data, start, end - 1):
-        return None
-    doc = _head_document(data[:start], encoding)
-    if doc is None:
-        return None
-    doc["rho"] = _parse_pairs(data, start, end - 1)
-    return doc
+    out = np.empty((count, 2))
+    row, text = 0, bytearray(data)
+    while True:
+        block = f.read(_PARSE_CHARS)
+        text += block
+        if block:
+            cut = text.rfind(b"], [")
+            if cut < 0:
+                if len(text) > _PARSE_CHARS + 64:  # no pair is this long: not laid out so
+                    return None
+                continue
+            piece = bytes(text[: cut + 1])
+            del text[: cut + 3]  # up to the next pair's "["
+        else:
+            piece = bytes(text.rstrip(b" \t\n\r"))
+            if not piece.endswith(b"]}"):
+                return None
+            piece = piece[:-2]
+        if row == 0:  # the list's own "[" opens the first block
+            if piece[:1] != b"[":
+                return None
+            piece = piece[1:]
+        if not _PAIRS.fullmatch(piece):
+            return None
+        pairs = np.fromstring(piece.translate(None, b"[]"), sep=",").reshape(-1, 2)
+        if row + len(pairs) > count:
+            return None
+        out[row : row + len(pairs)] = pairs
+        row += len(pairs)
+        if not block:
+            return out if row == count else None
 
 
-def _decoded(path, data: bytes, encoding: str) -> str:
-    """The text of a density-matrix file's bytes as `Path.read_text` gives it,
-    universal newlines included, so that JSON error positions match."""
-    try:
-        text = data.decode(encoding)
-    except UnicodeDecodeError as exc:
-        raise DataFormatError(f"{path}: not {exc.encoding} text ({exc.reason})") from exc
-    if "\r" in text:
-        text = text.replace("\r\n", "\n").replace("\r", "\n")
-    return text
+def _json_read(path, read):
+    """`read(doc)` of the document that `json.loads` makes of the file at
+    `path` as `Path.read_text` decodes it, universal newlines included,
+    which must be a JSON object.
 
-
-def _json_document(path, text: str) -> dict:
-    """`json.loads` of a density-matrix file's text, which must be an object.
-
-    Call it with the cyclic GC paused (`_gc_paused`) until the document is
-    freed: json.loads builds a list per entry, and a collection would walk
-    them all, during the parse, or at the first allocation after it if the
-    GC were paused for the parse alone. Freed lists leave no such debt.
+    The cyclic GC is paused from the parse until the document is freed, then
+    restored to its prior state: json.loads builds a list per entry, and a
+    collection would walk them all, during the parse, or at the first
+    allocation after it if the GC were paused for the parse alone.
     """
-    try:
-        doc = json.loads(text)
-    except json.JSONDecodeError as exc:
-        raise DataFormatError(f"{path}: not valid JSON: {exc}") from exc
-    if not isinstance(doc, dict):
-        raise DataFormatError(f"{path}: expected a JSON object")
-    return doc
-
-
-@contextmanager
-def _gc_paused():
-    """The cyclic GC off inside the block, then back in its prior state."""
     collecting = gc.isenabled()
     gc.disable()
     try:
-        yield
+        try:
+            doc = json.loads(Path(path).read_text())
+        except UnicodeDecodeError as exc:
+            raise DataFormatError(f"{path}: not {exc.encoding} text ({exc.reason})") from exc
+        except json.JSONDecodeError as exc:
+            raise DataFormatError(f"{path}: not valid JSON: {exc}") from exc
+        if not isinstance(doc, dict):
+            raise DataFormatError(f"{path}: expected a JSON object")
+        value = read(doc)
+        del doc  # free the lists before the GC is restored
+        return value
     finally:
         if collecting:
             gc.enable()
 
 
-def load_density_matrix(path) -> SpectralDensityMatrix:
-    """Read a density-matrix JSON file: any JSON object `density_matrix_from_dict` accepts.
-
-    The file is read as bytes. Text laid out as `save_density_matrix`
-    writes it skips `json.loads` for its `rho` list and is never decoded
-    whole (see `_canonical_document`); any other text is decoded as
-    `Path.read_text` decodes it, universal newlines included, and read by
-    `json.loads`. Both give bit-identical kernels and the same errors.
-    Either way the float64 array parsed from `rho` becomes the state's
-    kernel, symmetrized in place: a load makes no second n x n copy.
-
-    On the `json.loads` path the cyclic GC is paused from the parse until
-    its lists are freed, then restored to its prior state.
-    """
-    encoding = locale.getpreferredencoding(False)  # what `Path.read_text` uses
-    data = Path(path).read_bytes()
-    doc = _canonical_document(data, encoding)
-    if doc is not None:
-        del data  # free the file's bytes before the kernel checks
-        return _document_state(doc, own=True)
-    text = _decoded(path, data, encoding)
-    del data
-    with _gc_paused():
-        doc = _json_document(path, text)
-        del text  # free the file's text before the kernel checks
-        state = density_matrix_from_dict(doc)
-        del doc
-        return state
-
-
-def _file_head(path) -> bytes:
-    """The bytes of the file at `path` up to and including its first
-    `"rho": `, read 64 kB at a time; all of its bytes if it has none."""
-    head = bytearray()
-    with open(path, "rb") as f:
-        while block := f.read(1 << 16):
-            seen = max(len(head) - len(_RHO_KEY) + 1, 0)
-            head += block
-            key = head.find(_RHO_KEY, seen)
-            if key >= 0:
-                return bytes(head[: key + len(_RHO_KEY)])
-    return bytes(head)
-
-
-def _document_grid(doc: dict) -> FrequencyGrid | None:
+def _document_grid(doc: dict | None) -> FrequencyGrid | None:
     """The grid that the fields of a density-matrix document make, else None."""
     try:
         return FrequencyGrid(*_grid_fields(doc))
@@ -904,29 +861,68 @@ def _document_grid(doc: dict) -> FrequencyGrid | None:
         return None
 
 
+def _streamed_document(path) -> dict | None:
+    """The document of a file laid out as `save_density_matrix` writes it,
+    its `rho` the (n*n, 2) float64 array `_read_pairs` parses, else None.
+
+    Such a file is `<head>"rho": <body>}` plus JSON whitespace, where
+    `<head>"rho": []}` is a JSON object whose grid fields make a grid of n
+    points (see `_head_document`) and `<body>` is a list of n*n pairs that
+    `_PAIRS` matches. It is then valid JSON whose last key is `rho`, so
+    `json.loads` of its text gives the same dict with `rho` as lists.
+    """
+    with open(path, "rb") as f:
+        head, data = _head(f)
+        doc = _head_document(head)
+        grid = _document_grid(doc)
+        pairs = _read_pairs(f, data, grid.n * grid.n) if grid else None
+    if pairs is None:
+        return None
+    doc["rho"] = pairs
+    return doc
+
+
+def load_density_matrix(path) -> SpectralDensityMatrix:
+    """Read a density-matrix JSON file: any JSON object `density_matrix_from_dict` accepts.
+
+    The file is parsed as it is read: its head up to `"rho": `, then, for
+    a file laid out as `save_density_matrix` writes it, its `rho` list block
+    by block into one float64 array (see `_streamed_document`), so its text
+    is never held whole. Any other file, including one found not to be so
+    laid out after its head, is read again and parsed by `json.loads` of
+    its text as `Path.read_text` decodes it, with the cyclic GC paused until
+    the parsed lists are freed (see `_json_read`). The route depends only on
+    the file's bytes, and the kernel bits or the error are those of the
+    `json.loads` route alone. Either way the float64 array parsed from
+    `rho` becomes the state's kernel, symmetrized in place: a load makes no
+    second n x n copy. `path` must name a regular file: the streamed route
+    checks its size and the `json.loads` route reads it again, so a pipe
+    fails as not valid JSON.
+    """
+    doc = _streamed_document(path)
+    if doc is not None:
+        return _document_state(doc, own=True)
+    return _json_read(path, density_matrix_from_dict)
+
+
 def read_density_matrix_grid(path) -> FrequencyGrid:
     """The grid of a density-matrix file, without its kernel.
 
-    A file laid out as `save_density_matrix` writes it is read only up to
-    `"rho": `, and the grid comes from that head as `_canonical_document`
-    decodes it. Any other file, or a head whose fields make no grid, is
-    parsed as `load_density_matrix` parses it through `json.loads`. The
-    kernel is not checked, so a file whose kernel the loader rejects may
-    still give its grid here; where the document makes no grid, the error
-    is the one `load_density_matrix` raises for the file. A file with a key
-    repeated after `rho` may load on another grid than its head names.
+    The file is read only up to `"rho": `, by the loader's `_head`, and the
+    grid comes from that head as the loader decodes it. Any other file, or
+    a head whose fields make no grid, is parsed as `load_density_matrix`
+    parses it through `json.loads`. The kernel is not checked, so a file
+    whose kernel the loader rejects may still give its grid here; where the
+    document makes no grid, the error is the one `load_density_matrix`
+    raises for the file. A file with a key repeated after `rho` may load on
+    another grid than its head names.
     """
-    encoding = locale.getpreferredencoding(False)
-    head = _head_document(_file_head(path), encoding)
-    grid = _document_grid(head) if head is not None else None
-    if grid is not None:
-        return grid
-    text = _decoded(path, Path(path).read_bytes(), encoding)
-    with _gc_paused():
-        doc = _json_document(path, text)
-        del text
-        grid = _document_grid(doc)
-        del doc
+    with open(path, "rb") as f:
+        head, _ = _head(f)
     # Where the fields make no grid, the loader raises its own error for
     # the file, which may be about the entries: it checks them first.
-    return grid or load_density_matrix(path).grid
+    return (
+        _document_grid(_head_document(head))
+        or _json_read(path, _document_grid)
+        or load_density_matrix(path).grid
+    )

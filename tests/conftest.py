@@ -149,4 +149,6 @@ MALFORMED_RHO = {
     "infinity": lambda rho: rho[:-1] + [[0.0, float("inf")]],
     "minus-infinity": lambda rho: [[float("-inf"), 0.0]] + rho[1:],
     "non-hermitian": lambda rho: rho[:1] + [[rho[1][0] + 1e-3, rho[1][1]]] + rho[2:],
+    "missing-entry": lambda rho: rho[:-1],
+    "extra-entries": lambda rho: rho + rho[:2],
 }

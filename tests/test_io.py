@@ -1,6 +1,7 @@
 import gc
 import json
 import math
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -20,7 +21,7 @@ from spectomo import (
 )
 from spectomo import core
 from spectomo.cli import main
-from spectomo.core import _canonical_document, density_matrix_from_dict
+from spectomo.core import density_matrix_from_dict
 from conftest import MALFORMED_RHO, density_matrix_to_dict
 
 
@@ -112,6 +113,12 @@ def _grid_text(layout, pairs, n="2", omega_min="0.0"):
     return f'{{"omega_min":{omega_min},"d_omega":0.5,"n":{n},"rho":[{rho}]}}'
 
 
+def _assert_layout(path, text, layout):
+    """Write `text` to `path`: with a good grid, only the canonical layout streams."""
+    path.write_text(text)
+    assert (core._streamed_document(path) is not None) == (layout == "canonical")
+
+
 def _rejections(path, capsys):
     """What the loader, the grid reader and `spectomo analyze` make of `path`."""
     messages = []
@@ -129,8 +136,10 @@ def _rejections(path, capsys):
 def test_loader_rejects_n_below_2_or_not_an_integer(tmp_path, capsys, case, layout):
     text, entries = BAD_N[case]
     path = tmp_path / "bad-n.json"
-    path.write_text(_grid_text(layout, [[1.0, 0.0], [0.0, 0.0], [0.0, 0.0], [1.0, 0.0]][:entries], n=text))
-    assert (_canonical_document(path.read_bytes()) is not None) == (layout == "canonical")
+    pairs = [[1.0, 0.0], [0.0, 0.0], [0.0, 0.0], [1.0, 0.0]]
+    _assert_layout(path, _grid_text(layout, pairs), layout)
+    path.write_text(_grid_text(layout, pairs[:entries], n=text))
+    assert core._streamed_document(path) is None  # no grid: the `json.loads` route
     message = f"n must be an integer of at least 2, got {json.loads(text)!r}"
     assert _rejections(path, capsys) == [message] * 3
 
@@ -139,8 +148,9 @@ def test_loader_rejects_n_below_2_or_not_an_integer(tmp_path, capsys, case, layo
 def test_loader_rejects_a_grid_field_beyond_a_float(tmp_path, capsys, layout):
     path = tmp_path / "huge.json"
     pairs = [[1.0, 0.0], [0.0, 0.0], [0.0, 0.0], [1.0, 0.0]]
+    _assert_layout(path, _grid_text(layout, pairs), layout)
     path.write_text(_grid_text(layout, pairs, omega_min="1" * 400))
-    assert (_canonical_document(path.read_bytes()) is not None) == (layout == "canonical")
+    assert core._streamed_document(path) is None  # no grid: the `json.loads` route
     message = "malformed density-matrix document: int too large to convert to float"
     assert _rejections(path, capsys) == [message] * 3
 
@@ -218,27 +228,39 @@ def _n2_text(d_omega, pairs):
 @example(values=EDGE_FLOATS[2:])
 def test_canonical_reader_parses_every_finite_float_as_json_does(tmp_path_factory, values):
     text = _n2_text(0.5, [values[k : k + 2] for k in range(0, 8, 2)])
-    doc = _canonical_document(text.encode())
+    path = tmp_path_factory.getbasetemp() / "any-floats.json"
+    path.write_text(text)
+    doc = core._streamed_document(path)
     assert doc is not None
     expected = np.array(json.loads(text)["rho"], dtype=np.float64)
     assert doc["rho"].dtype == np.float64
     assert doc["rho"].tobytes() == expected.tobytes()
-    path = tmp_path_factory.getbasetemp() / "any-floats.json"
-    path.write_text(text)
     assert _outcome(load_density_matrix, path) == _outcome(_reference_load, path)
+
+
+@st.composite
+def square_pair_lists(draw):
+    n = draw(st.integers(2, 4))
+    pairs = st.tuples(finite_floats, finite_floats)
+    return n, draw(st.lists(pairs, min_size=n * n, max_size=n * n))
 
 
 @pytest.mark.parametrize("parse_chars", [1, 7, 40])
 @settings(max_examples=50, deadline=None)
-@given(pairs=st.lists(st.tuples(finite_floats, finite_floats), max_size=20))
-def test_canonical_reader_parses_in_blocks_as_in_one_piece(parse_chars, pairs):
-    # Blocks of 1, 7 or 40 characters end after every pair, after a few, or not at all.
-    text = json.dumps({"n": 1, "rho": pairs})
-    with pytest.MonkeyPatch.context() as m:
+@given(square=square_pair_lists(), past_head=st.integers(0, 200))
+def test_canonical_reader_parses_in_blocks_as_in_one_piece(tmp_path_factory, parse_chars, square, past_head):
+    # Blocks of 1, 7 or 40 bytes end after every pair, after a few, or not at
+    # all, after the head read has taken `past_head` bytes of the list.
+    n, pairs = square
+    text = json.dumps({"omega_min": 0.0, "d_omega": 0.5, "n": n, "rho": pairs})
+    path = tmp_path_factory.getbasetemp() / "blocks.json"
+    path.write_text(text)
+    with open(path, "rb") as f, pytest.MonkeyPatch.context() as m:
         m.setattr(core, "_PARSE_CHARS", parse_chars)
-        doc = _canonical_document(text.encode())
+        f.seek(text.index('"rho": ') + len('"rho": '))
+        parsed = core._read_pairs(f, f.read(past_head), n * n)
     expected = np.array(json.loads(text)["rho"], dtype=np.float64).reshape(-1, 2)
-    assert doc["rho"].tobytes() == expected.tobytes()
+    assert parsed.tobytes() == expected.tobytes()
 
 
 small = st.one_of(st.sampled_from(EDGE_FLOATS[:6]), st.floats(-0.05, 0.05))
@@ -367,9 +389,9 @@ NON_CANONICAL = {
 def test_loader_reads_other_layouts_as_json_does(tmp_path, grid64, layout):
     state = time_jitter_state(gaussian_pure(grid64, 0.5, 1.0, chirp=0.4), 0.7)
     text = NON_CANONICAL[layout](_saved_text(tmp_path, state))
-    assert _canonical_document(text.encode()) is None
     path = tmp_path / "other.json"
     path.write_text(text)
+    assert core._streamed_document(path) is None
     np.testing.assert_array_equal(load_density_matrix(path).rho, state.rho)
     assert _outcome(load_density_matrix, path) == _outcome(_reference_load, path)
 
@@ -381,10 +403,12 @@ def test_loader_pauses_the_gc_until_json_lists_are_freed(tmp_path, grid64, monke
     path = tmp_path / "other.json"
     path.write_text(text if valid else text[:-3])
     loads, from_dict, seen = json.loads, core.density_matrix_from_dict, []
+    head = text.index('"rho": ') + len('"rho": []}')
 
-    def watched_loads(*args, **kwargs):
-        seen.append(("loads", gc.isenabled()))
-        return loads(*args, **kwargs)
+    def watched_loads(s, *args, **kwargs):
+        # The file's head is parsed first, as every load does; the whole text after it.
+        seen.append(("head" if len(s) == head else "loads", gc.isenabled()))
+        return loads(s, *args, **kwargs)
 
     def watched_from_dict(doc):
         seen.append(("from_dict", gc.isenabled()))
@@ -403,15 +427,15 @@ def test_loader_pauses_the_gc_until_json_lists_are_freed(tmp_path, grid64, monke
         assert gc.isenabled() is collecting
     finally:
         (gc.enable if was else gc.disable)()
-    assert seen == [("loads", False), ("from_dict", False)][: 2 if valid else 1]
+    assert seen == [("head", collecting), ("loads", False), ("from_dict", False)][: 3 if valid else 2]
 
 
 def test_loader_reads_integer_entries(tmp_path):
     # [[1, 0], [0, 1]] on d_omega = 0.5 has unit trace.
     text = json.dumps({"omega_min": 0.0, "d_omega": 0.5, "n": 2, "rho": [[1, 0], [0, 0], [0, 0], [1, 0]]})
-    assert _canonical_document(text.encode()) is None
     path = tmp_path / "int.json"
     path.write_text(text)
+    assert core._streamed_document(path) is None
     np.testing.assert_array_equal(load_density_matrix(path).rho, np.eye(2))
     assert _outcome(load_density_matrix, path) == _outcome(_reference_load, path)
 
@@ -452,7 +476,7 @@ def test_loader_decodes_a_non_ascii_head_as_read_text_does(tmp_path, grid64):
     text = text.replace('"units": "SI-rad-per-s"', '"units": "rad/\u00b5s \u2013 \u00e9t\u00e9"', 1)
     path = tmp_path / "non-ascii.json"
     path.write_text(text, encoding="utf-8")
-    assert _canonical_document(path.read_bytes()) is not None
+    assert core._streamed_document(path) is not None
     assert load_density_matrix(path).rho.tobytes() == _reference_load(path).rho.tobytes()
 
 
@@ -495,6 +519,108 @@ def test_loader_passes_json_loads_only_the_header(tmp_path, monkeypatch, standar
 
 
 # ---------------------------------------------------------------------------
+# Read boundaries: the head's 64 kB reads, then blocks of _PARSE_CHARS bytes
+# ---------------------------------------------------------------------------
+
+HEAD_READ = 1 << 16
+BLOCK = 4096  # _PARSE_CHARS in these tests, so that a 64-point file spans many blocks
+
+
+def _padded(text, by):
+    """`text` with `by` spaces added to its `units`, which moves every byte after them."""
+    return text.replace('"units": "SI-rad-per-s"', '"units": "SI-rad-per-s' + " " * by + '"', 1)
+
+
+def _first_block_read(text):
+    """The file offset at which the head's reads of `text` end and the blocks begin."""
+    key_end = text.index('"rho": ') + len('"rho": ')
+    return -(-key_end // HEAD_READ) * HEAD_READ
+
+
+def _assert_streams_as_json_does(path):
+    assert core._streamed_document(path) is not None
+    kind, rho = _outcome(load_density_matrix, path)
+    assert kind == "rho"
+    assert (kind, rho) == _outcome(_reference_load, path)
+
+
+@pytest.fixture
+def chirped_text(tmp_path, grid64):
+    return _saved_text(tmp_path, time_jitter_state(gaussian_pure(grid64, 0.5, 1.0, chirp=0.4), 0.7))
+
+
+@pytest.mark.parametrize("before", [1, 3, 6])
+def test_loader_finds_rho_across_a_head_read(tmp_path, grid64, chirped_text, before):
+    # `"rho": ` starts `before` bytes ahead of the end of the first 64 kB read.
+    text = _padded(chirped_text, HEAD_READ - before - chirped_text.index('"rho": '))
+    assert text.index('"rho": ') == HEAD_READ - before
+    path = tmp_path / "long-head.json"
+    path.write_text(text)
+    _assert_streams_as_json_does(path)
+    assert core.read_density_matrix_grid(path) == grid64
+
+
+@pytest.mark.parametrize("split", [1, 2, 3])
+@pytest.mark.parametrize("block", [0, 3])
+def test_loader_parses_pairs_across_a_block_read(tmp_path, monkeypatch, chirped_text, block, split):
+    # A "], [" with `split` of its bytes before a read boundary: the end of
+    # the head's read (block 0) or of a later block.
+    monkeypatch.setattr(core, "_PARSE_CHARS", BLOCK)
+    boundary = _first_block_read(chirped_text) + block * BLOCK
+    at = chirped_text.rindex("], [", 0, boundary - split + 4)
+    text = _padded(chirped_text, boundary - split - at)
+    assert text[boundary - split : boundary - split + 4] == "], ["
+    assert _first_block_read(text) == _first_block_read(chirped_text)
+    path = tmp_path / "straddle.json"
+    path.write_text(text)
+    _assert_streams_as_json_does(path)
+
+
+@pytest.mark.parametrize("after", ["]}\n", "}\n", "\n", ""], ids=["pair", "list", "object", "file"])
+def test_loader_parses_a_body_ending_at_a_read_boundary(tmp_path, monkeypatch, chirped_text, after):
+    # The text before `after` ends exactly where a block read ends.
+    monkeypatch.setattr(core, "_PARSE_CHARS", BLOCK)
+    start = _first_block_read(chirped_text)
+    end = len(chirped_text) - len(after)
+    text = _padded(chirped_text, (start - end) % BLOCK)
+    assert (len(text) - len(after) - start) % BLOCK == 0 and text.endswith(after)
+    path = tmp_path / "at-boundary.json"
+    path.write_text(text)
+    _assert_streams_as_json_does(path)
+
+
+@pytest.mark.parametrize("junk", ["x", "}", " \f", ', "n": 64}', " ], [0.0, 0.0]"])
+def test_loader_rejects_junk_after_the_object_as_json_does(tmp_path, monkeypatch, chirped_text, junk):
+    # The junk lies many blocks past the first one, after the pairs before it parsed.
+    monkeypatch.setattr(core, "_PARSE_CHARS", BLOCK)
+    text = chirped_text.removesuffix("\n") + junk + "\n"
+    assert len(text) > _first_block_read(text) + 8 * BLOCK
+    path = tmp_path / "junk.json"
+    path.write_text(text)
+    assert core._streamed_document(path) is None
+    kind, message = _outcome(load_density_matrix, path)
+    assert (kind, message) == _outcome(_reference_load, path)
+    assert kind == "DataFormatError" and "not valid JSON" in message
+
+
+def test_loader_sizes_no_array_for_more_pairs_than_the_file_holds(tmp_path, capsys):
+    # 10**10 pairs of 16 bytes would be 160 GB; the file holds four.
+    path = tmp_path / "huge-n.json"
+    path.write_text(_grid_text("canonical", [[1.0, 0.0], [0.0, 0.0], [0.0, 0.0], [1.0, 0.0]], n="100000"))
+    expected = ("DataFormatError", "expected 10000000000 kernel entries, got 4")
+    assert _outcome(_reference_load, path) == expected
+    tracemalloc.start()
+    try:
+        assert _outcome(load_density_matrix, path) == expected
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1e6
+    assert main(["analyze", str(path), str(path)]) == 3
+    assert capsys.readouterr().err.strip() == f"error: {expected[1]}"
+
+
+# ---------------------------------------------------------------------------
 # One kernel per load, and the grid read from a file's head
 # ---------------------------------------------------------------------------
 
@@ -502,8 +628,8 @@ def test_loader_symmetrizes_the_parsed_array_in_place(tmp_path, monkeypatch, sta
     state = standard_states["time-jitter"]
     path = tmp_path / "state.json"
     save_density_matrix(path, state)
-    parse, parsed = core._parse_pairs, []
-    monkeypatch.setattr(core, "_parse_pairs", lambda *args: parsed.append(parse(*args)) or parsed[-1])
+    parse, parsed = core._read_pairs, []
+    monkeypatch.setattr(core, "_read_pairs", lambda *args: parsed.append(parse(*args)) or parsed[-1])
     back = load_density_matrix(path)
     assert np.shares_memory(back.rho, parsed[0])
     assert back.rho.tobytes() == _reference_load(path).rho.tobytes()
@@ -519,10 +645,11 @@ def test_loader_holds_the_array_it_made_from_json_lists(tmp_path, grid64, layout
     assert back.rho.tobytes() == _reference_load(path).rho.tobytes()
 
 
-def test_dict_reader_leaves_a_callers_array_as_it_was():
+def test_dict_reader_leaves_a_callers_array_as_it_was(tmp_path):
     # Within HERMITIAN_TOL of Hermitian, so symmetrizing changes entry (1, 0).
-    text = _n2_text(0.25, [[2.0, 0.0], [0.5, 0.25], [0.5 + 1e-12, -0.25], [2.0, 0.0]])
-    doc = _canonical_document(text.encode())
+    path = tmp_path / "near.json"
+    path.write_text(_n2_text(0.25, [[2.0, 0.0], [0.5, 0.25], [0.5 + 1e-12, -0.25], [2.0, 0.0]]))
+    doc = core._streamed_document(path)
     before = doc["rho"].copy()
     state = density_matrix_from_dict(doc)
     assert not np.shares_memory(state.rho, doc["rho"])

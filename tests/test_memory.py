@@ -40,12 +40,12 @@ strip of rows at a time, and 8.8 MB above it with whole-matrix temporaries
 and a copy in the constructor. LAPACK's own copy inside `eigvalsh` is
 allocated outside tracemalloc's view. `density_matrix_from_dict` reads the
 same above the document's own array (8.8 MB before). `load_density_matrix`
-of the 12.9 MB text of that state peaks at 17.7 MB: the file's bytes, the
-(entries, 2) array parsed from them and one 256 kB block of text. Decoded
-by `Path.read_text`, which holds the bytes and the str at once, it peaked
-at 25.9 MB; parsing `rho` in one piece at 38.8 MB, three copies of the
-text. Bound: half a kernel above the state's for the first two, half a
-kernel above the text and the parsed array for the load.
+of the 12.9 MB text of that state peaks at 5.7 MB: the (entries, 2) array
+parsed from the file as it is read, one 256 kB block of text at a time.
+Holding the file's bytes beside that array it peaked at 17.7 MB; decoded
+by `Path.read_text`, which holds the bytes and the str at once, at 25.9 MB;
+parsing `rho` in one piece at 38.8 MB, three copies of the text. Bound:
+half a kernel above the state's for all three.
 
 `reconstruct_records` of an exact n=512 scan of that state with 16 bands
 peaks 12.9 MB above its start when the assembled estimate is handed to
@@ -76,7 +76,7 @@ from spectomo import (
     time_jitter_state,
     write_records,
 )
-from spectomo.core import _canonical_document, density_matrix_from_dict
+from spectomo.core import _streamed_document, density_matrix_from_dict
 from spectomo.diagnostics import capture
 
 N = 224
@@ -219,18 +219,15 @@ def test_loader_holds_one_copy_of_the_kernel(kernel_state, tmp_path):
     state, kernel_mb = kernel_state
     path = tmp_path / "rho.json"
     save_density_matrix(path, state)
-    data = path.read_bytes()
-    text_mb = len(data) / 1e6
-    doc = _canonical_document(data)
-    del data
+    doc = _streamed_document(path)  # the (entries, 2) float64 array parsed from the file
     loaded, peak, _ = _peak_mb(lambda: density_matrix_from_dict(doc))
     np.testing.assert_array_equal(loaded.rho, state.rho)
     assert peak - kernel_mb < EXTRA_KERNELS * kernel_mb
     del doc
     loaded, peak, _ = _peak_mb(lambda: load_density_matrix(path))
     np.testing.assert_array_equal(loaded.rho, state.rho)
-    # The file's bytes and the (entries, 2) array parsed from them, one kernel's size.
-    assert peak - text_mb - kernel_mb < EXTRA_KERNELS * kernel_mb
+    # The (entries, 2) array parsed from the file, one kernel's size, and one block of its text.
+    assert peak - kernel_mb < EXTRA_KERNELS * kernel_mb
 
 
 def test_reconstruct_hands_the_raw_estimate_to_the_projection(kernel_state):
