@@ -236,14 +236,20 @@ def cmd_reconstruct(args) -> int:
     if args.truth:
         read["--truth"] = args.truth
     _refuse_shared_paths(written, read)
-    # The truth file's head names the grid; its kernel is loaded only once the
-    # reconstruction, and with it the projection's eigh, is done.
-    grid = read_density_matrix_grid(args.truth) if args.truth else make_grid(args.center, args.span, args.n)
+    # A regular truth file's head names the grid; its kernel is loaded only
+    # once the reconstruction, and with it the projection's eigh, is done. A
+    # truth that reads only once (a pipe, say) is loaded first and kept.
+    truth = load_density_matrix(args.truth) if args.truth and not os.path.isfile(args.truth) else None
+    if truth is not None:
+        grid = truth.grid
+    else:
+        grid = read_density_matrix_grid(args.truth) if args.truth else make_grid(args.center, args.span, args.n)
     # No reference kept here: `reconstruct_records` frees the unpooled table once pooled.
     result = reconstruct_records(read_records(args.records, grid), grid, min_visibility=args.min_visibility)
-    truth = load_density_matrix(args.truth) if args.truth else None
-    if truth is not None and truth.grid != grid:
-        raise DataFormatError(f"{args.truth}: the state's grid {truth.grid} is not the grid its head names, {grid}")
+    if args.truth and truth is None:
+        truth = load_density_matrix(args.truth)
+        if truth.grid != grid:
+            raise DataFormatError(f"{args.truth}: the state's grid {truth.grid} is not the grid its head names, {grid}")
     doc = report(result, truth)
     # The truth and the estimate (bands x n x 24 bytes) are freed before the state is written.
     rho_hat, gamma_hat = result.rho_hat, result.gamma_hat
@@ -388,7 +394,7 @@ def build_parser() -> argparse.ArgumentParser:
         default=None,
         help="true state file; adds distance metrics and supplies the grid "
         "(overrides --n/--span/--center); its grid is read first, its kernel "
-        "after the reconstruction",
+        "after the reconstruction (a pipe is loaded once, first)",
     )
     rec.add_argument(
         "--min-visibility", type=float, default=MIN_VISIBILITY, help="|gamma| floor before division"

@@ -166,7 +166,7 @@ class SpectralDensityMatrix:
       * real, nonnegative diagonal.
 
     The constructor checks and holds a read-only copy of `rho`.
-    `from_kernel`, the density-matrix loader and
+    `from_kernel`, the state factories, the density-matrix loader and
     `reconstruction.project_physical` hand over a kernel they built for
     the purpose through `_owning`, which runs the same
     checks on it and holds it without a copy. The checks work a block of
@@ -200,10 +200,9 @@ class SpectralDensityMatrix:
             raise ValueError(f"kernel must have shape ({n}, {n}), got {m.shape}")
         if not np.isfinite(m).all():
             raise ValueError("kernel entries must be finite")
-        if not _is_exactly_hermitian(m):  # the deviation array only for the message
-            herm_dev = float(np.max(np.abs(m - m.conj().T)))
+        if not _is_exactly_hermitian(m):
             raise ValueError(
-                f"kernel must be exactly Hermitian (max deviation {herm_dev:.3e}); "
+                f"kernel must be exactly Hermitian (max deviation {_hermitian_deviation(m):.3e}); "
                 "use SpectralDensityMatrix.from_kernel"
             )
         tr = float(np.trace(m).real) * self.grid.d_omega
@@ -238,7 +237,7 @@ class SpectralDensityMatrix:
     def _from_hermitian(cls, grid: FrequencyGrid, m: np.ndarray) -> "SpectralDensityMatrix":
         """`from_kernel` of `m`, an array `_hermitize` has symmetrized in place
         and nothing else holds: its eigenvalue check, then the state holding `m`."""
-        w = np.linalg.eigvalsh(m) * grid.d_omega
+        w = _spectral_weights(m, grid)
         w_max = float(w[-1])
         if w_max <= 0.0 or float(w[0]) < -PSD_TOL * w_max:
             raise ValueError(
@@ -260,10 +259,21 @@ class SpectralDensityMatrix:
         """
         w = self.cache.get("eigenvalues")
         if w is None:
-            w = np.linalg.eigvalsh(self.rho) * self.grid.d_omega
+            w = _spectral_weights(self.rho, self.grid)
             w.flags.writeable = False
             self.cache["eigenvalues"] = w
         return w
+
+
+def _spectral_weights(m: np.ndarray, grid: FrequencyGrid) -> np.ndarray:
+    """Eigenvalues of the Hermitian n x n complex `m` times d_omega, ascending.
+
+    A kernel whose imaginary parts are all zero (-0.0 counts as zero) is a
+    real symmetric matrix, and `eigvalsh` takes it in real arithmetic as
+    `m.real`, some 3x faster than in complex; any other kernel is taken as
+    it is. The two agree to rounding, not bit for bit.
+    """
+    return np.linalg.eigvalsh(m if m.imag.any() else m.real) * grid.d_omega
 
 
 def hermitian_part(grid: FrequencyGrid, kernel, *, renormalize: bool = True) -> np.ndarray:
@@ -311,6 +321,11 @@ def _row_blocks(m: np.ndarray):
     rows = m[a:b], and mirror = m[:, a:b].T, so mirror[r, j] is m[j, a + r]."""
     for start in range(0, len(m), _CHECK_ROWS):
         yield m[start : start + _CHECK_ROWS], m[:, start : start + _CHECK_ROWS].T
+
+
+def _hermitian_deviation(m: np.ndarray) -> float:
+    """max|m - m^dagger|, with a block of rows as the largest temporary."""
+    return max(float(np.abs(rows - mirror.conj()).max()) for rows, mirror in _row_blocks(m))
 
 
 def _is_exactly_hermitian(m: np.ndarray) -> bool:
@@ -363,7 +378,7 @@ def gaussian_pure(
 def density_from_pure(psi: PureSpectralAmplitude) -> SpectralDensityMatrix:
     """Rank-1 kernel psi(omega_1) * conj(psi(omega_2)); purity 1 by construction."""
     kernel = np.outer(psi.psi, psi.psi.conj())
-    return SpectralDensityMatrix.from_kernel(psi.grid, kernel, renormalize=False)
+    return SpectralDensityMatrix._from_hermitian(psi.grid, _hermitize(psi.grid, kernel, renormalize=False))
 
 
 def mix(components) -> SpectralDensityMatrix:
@@ -387,7 +402,7 @@ def mix(components) -> SpectralDensityMatrix:
     kernel = np.zeros((grid.n, grid.n), dtype=np.complex128)
     for w, state in components:
         kernel += w * state.rho
-    return SpectralDensityMatrix.from_kernel(grid, kernel)
+    return SpectralDensityMatrix._from_hermitian(grid, _hermitize(grid, kernel))
 
 
 def time_jitter_state(psi: PureSpectralAmplitude, jitter_std: float) -> SpectralDensityMatrix:
@@ -405,7 +420,7 @@ def time_jitter_state(psi: PureSpectralAmplitude, jitter_std: float) -> Spectral
     delta = omegas[:, None] - omegas[None, :]
     damping = np.exp(-0.5 * (jitter_std * delta) ** 2)
     kernel = np.outer(psi.psi, psi.psi.conj()) * damping
-    return SpectralDensityMatrix.from_kernel(psi.grid, kernel, renormalize=False)
+    return SpectralDensityMatrix._from_hermitian(psi.grid, _hermitize(psi.grid, kernel, renormalize=False))
 
 
 def frequency_jitter_state(
@@ -447,7 +462,7 @@ def frequency_jitter_state(
             "absorbed by renormalization",
             clipped_mass=clipped,
         )
-    return SpectralDensityMatrix.from_kernel(grid, kernel)
+    return SpectralDensityMatrix._from_hermitian(grid, _hermitize(grid, kernel))
 
 
 def purity(state: SpectralDensityMatrix) -> float:
@@ -509,8 +524,10 @@ def validate(state, grid: FrequencyGrid | None = None) -> ValidationReport:
     """Report trace, Hermiticity, positivity and diagonal checks.
 
     Accepts a SpectralDensityMatrix or a raw matrix plus its grid. Raw
-    matrices are symmetrized only for the eigenvalue report; the Hermiticity
-    deviation is measured on the input as given.
+    matrices are symmetrized (`hermitian_part`, in a copy) only for the
+    eigenvalue report; the Hermiticity deviation is measured on the input
+    as given, a block of rows at a time, so a state's check makes no n x n
+    temporary.
     """
     if isinstance(state, SpectralDensityMatrix):
         # Exactly Hermitian, so its symmetrized part is itself.
@@ -522,8 +539,8 @@ def validate(state, grid: FrequencyGrid | None = None) -> ValidationReport:
         m = np.asarray(state, dtype=np.complex128)
         if m.shape != (grid.n, grid.n):
             raise ValueError(f"matrix must have shape ({grid.n}, {grid.n}), got {m.shape}")
-        w = np.linalg.eigvalsh((m + m.conj().T) / 2.0) * grid.d_omega
-    herm_dev = float(np.max(np.abs(m - m.conj().T)))
+        w = _spectral_weights(hermitian_part(grid, m, renormalize=False), grid)
+    herm_dev = _hermitian_deviation(m)
     tr = float(np.trace(m).real) * grid.d_omega
     min_eig, max_eig = float(w[0]), float(w[-1])
     diag = m.diagonal()
@@ -573,14 +590,20 @@ def _hermitian_rows(state: SpectralDensityMatrix, *, magnitude: bool = False):
     Abs is `np.hypot` of the float64 Re and Im, not np.abs (numpy's
     vectorized complex abs differs from it in the last bit); it is within
     1 ulp of the correctly rounded `math.hypot` but not always equal to it.
+
+    Where every Im on and above the diagonal is +0.0 bit for bit (a real
+    kernel), row i's Im strings are i times "-0.0" then "0.0", taken as
+    constants: Im is neither formatted nor kept waiting. The bits decide,
+    not the value, because `repr(-0.0)` is "-0.0".
     """
     n = state.grid.n
-    flips = (False, True, False) if magnitude else (False, True)
+    real = not any(state.rho[i, i:].imag.view(np.uint64).any() for i in range(n))
+    flips = [False] + ([] if real else [True]) + ([False] if magnitude else [])
     packed = [[[] for _ in range(n)] for _ in flips]  # per column, joined blocks of strings
     below = [[[] for _ in range(n)] for _ in flips]  # per column, strings since the last pack
     for i in range(n):
         upper = state.rho[i, i:]
-        parts = [upper.real, upper.imag]
+        parts = [upper.real] + ([] if real else [upper.imag])
         if magnitude:
             parts.append(np.hypot(upper.real, upper.imag))
         pack = (i + 1) % _PACK_ROWS == 0
@@ -599,6 +622,8 @@ def _hermitian_rows(state: SpectralDensityMatrix, *, magnitude: bool = False):
                 deque(map(list.append, chunks[i + 1 :], map(",".join, columns[i + 1 :])), maxlen=0)
                 columns[i + 1 :] = [[] for _ in range(i + 1, n)]
             rows.append(row)
+        if real:
+            rows.insert(1, ["-0.0"] * i + ["0.0"] * (n - i))
         yield rows
 
 
@@ -787,9 +812,12 @@ def _read_pairs(f, data: bytes, count: int) -> np.ndarray | None:
     matched and parsed by numpy with the values `float()` gives, so every
     number is parsed as in one piece and no Python object is made per entry;
     a block that completes no pair ends the attempt. The array is sized only
-    if the file is large enough to hold `count` pairs.
+    if the file is large enough to hold `count` pairs: a regular file by
+    its size on disk, the in-memory bytes of any other (see `_binary`) by
+    their count.
     """
-    if os.fstat(f.fileno()).st_size < 10 * count:  # a pair takes 10 bytes or more: [0.0, 0.0]
+    size = len(f.getvalue()) if hasattr(f, "getvalue") else os.fstat(f.fileno()).st_size
+    if size < 10 * count:  # a pair takes 10 bytes or more: [0.0, 0.0]
         return None
     out = np.empty((count, 2))
     row, text = 0, bytearray(data)
@@ -824,10 +852,30 @@ def _read_pairs(f, data: bytes, count: int) -> np.ndarray | None:
             return out if row == count else None
 
 
-def _json_read(path, read):
+def _bytes_unless_regular(path) -> bytes | None:
+    """None if `path` names a regular file, which the loader may open and
+    read more than once; else the file's bytes (a pipe, say), read once.
+    The loader then reads those bytes as it would a regular file's."""
+    if os.path.isfile(path):
+        return None
+    with open(path, "rb") as f:  # raises as the loader's own open would
+        return f.read()
+
+
+def _binary(path, data: bytes | None):
+    """The file at `path` opened for binary reads, or `data`, its bytes read
+    by `_bytes_unless_regular`, as an in-memory file."""
+    if data is None:
+        return open(path, "rb")
+    import io  # loaded at start-up; imported here so that importing core adds nothing
+
+    return io.BytesIO(data)
+
+
+def _json_read(path, read, data: bytes | None):
     """`read(doc)` of the document that `json.loads` makes of the file at
-    `path` as `Path.read_text` decodes it, universal newlines included,
-    which must be a JSON object.
+    `path`, or of its bytes `data` where given, as `Path.read_text` decodes
+    it, universal newlines included, which must be a JSON object.
 
     The cyclic GC is paused from the parse until the document is freed, then
     restored to its prior state: json.loads builds a list per entry, and a
@@ -838,7 +886,12 @@ def _json_read(path, read):
     gc.disable()
     try:
         try:
-            doc = json.loads(Path(path).read_text())
+            if data is None:
+                text = Path(path).read_text()
+            else:  # decoded as `open(path)` decodes, universal newlines included
+                text = data.decode(locale.getpreferredencoding(False)).replace("\r\n", "\n").replace("\r", "\n")
+            doc = json.loads(text)
+            del text
         except UnicodeDecodeError as exc:
             raise DataFormatError(f"{path}: not {exc.encoding} text ({exc.reason})") from exc
         except json.JSONDecodeError as exc:
@@ -861,9 +914,10 @@ def _document_grid(doc: dict | None) -> FrequencyGrid | None:
         return None
 
 
-def _streamed_document(path) -> dict | None:
+def _streamed_document(path, data: bytes | None = None) -> dict | None:
     """The document of a file laid out as `save_density_matrix` writes it,
     its `rho` the (n*n, 2) float64 array `_read_pairs` parses, else None.
+    The file is the one at `path`, or its bytes `data` where given.
 
     Such a file is `<head>"rho": <body>}` plus JSON whitespace, where
     `<head>"rho": []}` is a JSON object whose grid fields make a grid of n
@@ -871,11 +925,11 @@ def _streamed_document(path) -> dict | None:
     `_PAIRS` matches. It is then valid JSON whose last key is `rho`, so
     `json.loads` of its text gives the same dict with `rho` as lists.
     """
-    with open(path, "rb") as f:
-        head, data = _head(f)
+    with _binary(path, data) as f:
+        head, rest = _head(f)
         doc = _head_document(head)
         grid = _document_grid(doc)
-        pairs = _read_pairs(f, data, grid.n * grid.n) if grid else None
+        pairs = _read_pairs(f, rest, grid.n * grid.n) if grid else None
     if pairs is None:
         return None
     doc["rho"] = pairs
@@ -895,14 +949,19 @@ def load_density_matrix(path) -> SpectralDensityMatrix:
     the file's bytes, and the kernel bits or the error are those of the
     `json.loads` route alone. Either way the float64 array parsed from
     `rho` becomes the state's kernel, symmetrized in place: a load makes no
-    second n x n copy. `path` must name a regular file: the streamed route
-    checks its size and the `json.loads` route reads it again, so a pipe
-    fails as not valid JSON.
+    second n x n copy. A file that is not regular (a pipe, say) is read
+    once into memory, and its bytes take the same route as a regular
+    file's, so they are held through the parse.
     """
-    doc = _streamed_document(path)
+    return _load(path, _bytes_unless_regular(path))
+
+
+def _load(path, data: bytes | None) -> SpectralDensityMatrix:
+    """`load_density_matrix(path)`, of the file's bytes `data` where given."""
+    doc = _streamed_document(path, data)
     if doc is not None:
         return _document_state(doc, own=True)
-    return _json_read(path, density_matrix_from_dict)
+    return _json_read(path, density_matrix_from_dict, data)
 
 
 def read_density_matrix_grid(path) -> FrequencyGrid:
@@ -915,14 +974,17 @@ def read_density_matrix_grid(path) -> FrequencyGrid:
     whose kernel the loader rejects may still give its grid here; where the
     document makes no grid, the error is the one `load_density_matrix`
     raises for the file. A file with a key repeated after `rho` may load on
-    another grid than its head names.
+    another grid than its head names. A file that is not regular is read
+    once into memory, as the loader reads it, so it cannot be read again
+    for its kernel.
     """
-    with open(path, "rb") as f:
+    data = _bytes_unless_regular(path)
+    with _binary(path, data) as f:
         head, _ = _head(f)
     # Where the fields make no grid, the loader raises its own error for
     # the file, which may be about the entries: it checks them first.
     return (
         _document_grid(_head_document(head))
-        or _json_read(path, _document_grid)
-        or load_density_matrix(path).grid
+        or _json_read(path, _document_grid, data)
+        or _load(path, data).grid
     )

@@ -107,16 +107,18 @@ def _column(name: str, values) -> np.ndarray:
     return a.astype(np.float64)
 
 
-def _theta_slots(cols: dict) -> tuple:
-    """Replace the float `theta` column of `cols` by `theta_slot`; returns the
-    (mask, message(row)) check, for `_first_invalid`, of thetas off both THETAS."""
-    theta = cols.pop("theta")
+def _theta_slots(theta: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The `theta_slot` column of phases as read, and the mask of those off
+    both THETAS, which `_phase_check` reports."""
     near = [np.abs(theta - phase) <= THETA_TOL for phase in THETAS]
-    cols["theta_slot"] = near[1].astype(np.int64)
-    return (
-        ~(near[0] | near[1]),
-        lambda r: f"theta_rad must be 0 or pi/2 (the two tomography phases), got {theta[r].item()!r}",
-    )
+    return near[1].astype(np.int64), ~(near[0] | near[1])
+
+
+def _phase_check(off: np.ndarray, theta_at) -> tuple:
+    """The (mask, message(row)) check, for `_first_invalid` in place of the
+    theta_slot range check, of the rows `off` both THETAS; `theta_at(row)`
+    is the phase read in that row."""
+    return off, lambda r: f"theta_rad must be 0 or pi/2 (the two tomography phases), got {theta_at(r)!r}"
 
 
 def _isclose(total: np.ndarray, post: np.ndarray) -> np.ndarray:
@@ -252,8 +254,9 @@ class ScanTable:
         ]
         given = zip(*rows) if rows else [()] * len(names)
         cols = {name: _column(name, values) for name, values in zip(names, given)}
-        phase = _theta_slots(cols)
-        return cls._trusted(_checked(cols, phase))
+        theta = cols.pop("theta")
+        cols["theta_slot"], off = _theta_slots(theta)
+        return cls._trusted(_checked(cols, _phase_check(off, lambda r: theta[r].item())))
 
     @property
     def columns(self) -> tuple[np.ndarray, ...]:
@@ -566,6 +569,7 @@ _CSV_FIELDS = (
     ("shots_postselected", float), ("counts_a", float), ("counts_b", float),
 )
 _CSV_DTYPE = np.dtype([(name, np.int64 if kind is int else np.float64) for name, kind in _CSV_FIELDS])
+_THETA = _CSV_DTYPE.names.index("theta")
 
 
 def _format_counts(col: np.ndarray) -> list:
@@ -730,7 +734,7 @@ def _loadtxt(body, dtype) -> np.ndarray:
 def _integer_columns(body) -> list | None:
     """The columns of `body` in _CSV_DTYPE order if it is integer text: every
     index and count field an int64 integer and every theta one of the
-    spellings of THETAS (theta is then THETAS[slot] exactly). None otherwise.
+    spellings of THETAS, whose slot takes theta's place. None otherwise.
 
     loadtxt drops NULs from the end of a bytes field, so `0.0\\0` would read
     as `0.0`: text holding a NUL must not come here.
@@ -747,14 +751,14 @@ def _integer_columns(body) -> list | None:
     slot = data["theta"] == repr(THETAS[1]).encode()
     if not (slot | (data["theta"] == repr(THETAS[0]).encode())).all():
         return None
-    theta = np.where(slot, THETAS[1], THETAS[0])
-    return [theta if name == "theta" else np.ascontiguousarray(data[name]) for name in _CSV_DTYPE.names]
+    return [slot.astype(np.int64) if name == "theta" else np.ascontiguousarray(data[name]) for name in _CSV_DTYPE.names]
 
 
 def _parse_block(path, lines, first: int, integral: bool):
     """(line numbers, column arrays in _CSV_DTYPE order, whether they were
     read as integer text) of the non-blank `lines`, which start at line
-    `first` of the file; None if all are blank.
+    `first` of the file; None if all are blank. Integer text gives each
+    row's theta slot in theta's place, the float parse the phase as read.
 
     Where `integral` (the file's text so far is integer text and holds no
     NUL), the block is first read as integer text (`_integer_columns`);
@@ -801,13 +805,16 @@ def read_records(path, grid: FrequencyGrid) -> ScanTable:
     every entry of it in the file is a whole number: exact to 2**63 - 1
     where every block was integer text, below 2**53 otherwise.
     """
-    names = _CSV_DTYPE.names
-    # int64 but for theta, so that integer blocks join to int64 columns
-    pieces = {name: [np.zeros(0, dtype=_CSV_DTYPE[name] if name == "theta" else np.int64)] for name in names}
+    names = ["theta_slot" if name == "theta" else name for name in _CSV_DTYPE.names]
+    # int64, so that integer blocks join to int64 columns
+    pieces = {name: [np.zeros(0, dtype=np.int64)] for name in names}
     spans = []  # (first row, line numbers of its rows) of each parsed block
     rows = lineno = 0  # rows parsed and lines read so far
     integral = True  # until a block is not integer text
-    block = None
+    # (row, theta) of the first phase off both THETAS. Such a row is bad, so
+    # it is the only one that can be the first bad row with this message.
+    first_off = None
+    block = columns = None
     try:
         with open(path) as f:
             for lines, nul in _line_blocks(f, _BLOCK_ROWS):
@@ -820,16 +827,23 @@ def read_records(path, grid: FrequencyGrid) -> ScanTable:
                 lineno += len(lines)
                 del lines  # free this block's text before reading the next
                 if block is not None:
-                    integral = block[2]
-                    spans.append((rows, block[0]))
-                    rows += len(block[0])
-                    for name, col in zip(names, block[1]):
+                    linenos, columns, integral = block
+                    if not integral:  # the phases as read: their slots, once per block
+                        theta = columns[_THETA]
+                        columns[_THETA], off = _theta_slots(theta)
+                        if first_off is None and off.any():
+                            r = int(np.argmax(off))
+                            first_off = rows + r, theta[r].item()
+                        del theta, off
+                    spans.append((rows, linenos))
+                    rows += len(linenos)
+                    for name, col in zip(names, columns):
                         pieces[name].append(col)
     except UnicodeDecodeError as exc:
         raise DataFormatError(f"{path}: not {exc.encoding} text ({exc.reason})") from exc
     if not lineno:
         raise DataFormatError(f"{path}: expected header {RECORD_HEADER!r}")
-    del block  # it holds the last block's pieces, which the joins below free
+    del block, columns  # they hold the last block's pieces, which the joins below free
     cols = {}
     for name in names:  # each column joined once, its blocks freed before the next
         cols[name] = np.concatenate(pieces.pop(name))
@@ -839,7 +853,10 @@ def read_records(path, grid: FrequencyGrid) -> ScanTable:
     n = grid.n
     delta, tau_index = cols["delta_index"], cols["tau_index"]
     out_of_range = (delta < 0) | (delta >= n) | (tau_index < 0) | (tau_index >= n)
-    phase = _theta_slots(cols)
+    off = np.zeros(rows, dtype=bool)
+    if first_off is not None:
+        off[first_off[0]] = True
+    phase = _phase_check(off, lambda r: first_off[1])
     bad = _first_invalid(
         cols, [(out_of_range, lambda r: f"indices out of range for an n={n} grid")], phase
     )

@@ -1,7 +1,10 @@
 """Shared fixtures: the five standard states, random-state factories, and
 reference implementations the package's faster code is checked against."""
 
+import contextlib
 import functools
+import os
+import threading
 import warnings
 
 import pytest
@@ -20,6 +23,32 @@ from spectomo import (
 from spectomo.core import DENSITY_MATRIX_UNITS
 from spectomo.diagnostics import capture
 from spectomo.reconstruction import assemble, invert_cross_section
+
+@contextlib.contextmanager
+def piped(path, data: bytes):
+    """`path` made a link to /dev/fd/N, the read end of a pipe that a thread
+    fills with `data`, as the shell's `<(cat file)` names one. Opening it
+    again opens the same pipe, which reads as empty once `data` is read."""
+    read_end, write_end = os.pipe()
+    unwritten = []
+
+    def feed():
+        with open(write_end, "wb") as f:
+            try:
+                f.write(data)
+            except BrokenPipeError:  # the read end closed before `data` was read
+                unwritten.append(path)
+
+    writer = threading.Thread(target=feed, daemon=True)
+    writer.start()
+    try:
+        os.symlink(f"/dev/fd/{read_end}", path)
+        yield path
+    finally:
+        os.close(read_end)
+        writer.join(timeout=10)
+    assert not writer.is_alive() and not unwritten, f"{path} was not read to the end"
+
 
 GRID_N = 64
 GRID_SPAN = 16.0

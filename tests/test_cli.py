@@ -13,7 +13,7 @@ import spectomo
 from spectomo import cli, reconstruction
 from spectomo import hs_distance, load_density_matrix, purity
 from spectomo.cli import main
-from conftest import MALFORMED_RHO
+from conftest import MALFORMED_RHO, piped
 
 pytestmark = pytest.mark.filterwarnings("ignore::UserWarning")
 
@@ -330,6 +330,32 @@ def test_reconstruct_rejects_a_truth_that_loads_on_another_grid(tmp_path, capsys
     err = capsys.readouterr().err
     assert "omega_min=5.0" in err and "is not the grid its head names" in err
     assert not out.exists()
+
+
+def test_analyze_and_reconstruct_read_a_piped_state_as_the_file(tmp_path, capsys):
+    state = _gen(tmp_path, "time-jitter", extra=["--n", "16"])
+    csv = tmp_path / "records.csv"
+    assert main(["simulate", str(state), "--out", str(csv), "--exact"]) == 0
+
+    def reconstruct(truth, out):
+        out.mkdir()
+        argv = ["reconstruct", str(csv), "--truth", str(truth), "--out", str(out / "rho.json")]
+        assert main(argv + ["--heatmap-out", str(out / "heat.csv")]) == 0
+        return [(out / name).read_bytes() for name in ("rho.json", "rho.report.json", "heat.csv")]
+
+    def analyze(path, other):
+        capsys.readouterr()
+        assert main(["analyze", str(path), str(other)]) == 0
+        return capsys.readouterr().out
+
+    expected = reconstruct(state, tmp_path / "file")
+    for link in ("truth", "analyze"):
+        (tmp_path / link).mkdir()
+    with piped(tmp_path / "truth" / "state.json", state.read_bytes()) as truth:  # read once, kept
+        assert reconstruct(truth, tmp_path / "pipe") == expected
+    rho = tmp_path / "file" / "rho.json"
+    with piped(tmp_path / "analyze" / "state.json", state.read_bytes()) as pipe:  # named as the file is
+        assert analyze(pipe, rho) == analyze(state, rho)
 
 
 def test_reconstruct_round_trip(tmp_path, capsys):

@@ -22,7 +22,7 @@ from spectomo import (
 from spectomo import core
 from spectomo.cli import main
 from spectomo.core import density_matrix_from_dict
-from conftest import MALFORMED_RHO, density_matrix_to_dict
+from conftest import MALFORMED_RHO, density_matrix_to_dict, piped
 
 
 def test_json_round_trip_bit_exact(tmp_path, standard_states):
@@ -339,11 +339,14 @@ def test_one_pass_writes_the_hermitian_fill(tmp_path_factory, state):
 @st.composite
 def packed_states(draw):
     # Up to 12 rows, so that packing every 1, 2 or 3 rows leaves blocks of
-    # every length behind; the kernel is either exactly Hermitian or any.
+    # every length behind; the kernel is either exactly Hermitian or any,
+    # and real (every Im +0.0, then -0.0 in a Hermitian lower triangle) or not.
     n = draw(st.integers(2, 12))
     grid = FrequencyGrid(draw(st.floats(-1e3, 1e3)), draw(st.floats(1e-3, 10.0)), n)
     values = draw(st.lists(finite_floats, min_size=2 * n * n, max_size=2 * n * n))
     kernel = np.array(values).view(np.complex128).reshape(n, n)
+    if draw(st.booleans()):
+        kernel.imag = 0.0
     if draw(st.booleans()):
         lower = np.tril_indices(n, -1)
         kernel[lower] = kernel.T[lower].conj()
@@ -369,6 +372,29 @@ def test_writer_bytes_at_the_packing_interval(tmp_path):
     values = rng.normal(size=2 * n * n) * 10.0 ** rng.integers(-20, 20, size=2 * n * n)
     state = _unchecked_state(FrequencyGrid(-3.0, 0.0625, n), values.view(np.complex128).reshape(n, n))
     _assert_writes_the_hermitian_fill(tmp_path, state)
+
+
+@pytest.mark.parametrize("case", ["real", "minus-zero-above", "loaded-real"])
+def test_writer_spells_the_im_of_a_real_kernel_from_constants(tmp_path, monkeypatch, grid64, case):
+    n = grid64.n
+    state = density_from_pure(gaussian_pure(grid64, 0.0, 1.0))  # every Im +0.0
+    assert not np.signbit(state.rho.imag).any()
+    if case == "minus-zero-above":  # still exactly Hermitian: -0.0 == -(+0.0)
+        kernel = np.array(state.rho)
+        kernel[0, 1] = complex(kernel[0, 1].real, -0.0)
+        state = SpectralDensityMatrix(grid64, kernel)
+        doc = density_matrix_to_dict(state)
+        assert (repr(doc["rho"][1][1]), repr(doc["rho"][n][1])) == ("-0.0", "0.0")  # entries (0, 1), (1, 0)
+    elif case == "loaded-real":  # the lower triangle holds -0.0, as the file does
+        save_density_matrix(tmp_path / "real.json", state)
+        state = load_density_matrix(tmp_path / "real.json")
+        np.testing.assert_array_equal(np.signbit(state.rho.imag), np.tril(np.ones((n, n), bool), -1))
+    formatted, reprs = [], core._reprs
+    monkeypatch.setattr(core, "_reprs", lambda values: formatted.append(len(values)) or reprs(values))
+    _assert_writes_the_hermitian_fill(tmp_path, state)  # JSON and heatmap
+    # Re and abs of each row from the diagonal on; Im too unless every Im there is +0.0.
+    per_row = 3 if case == "minus-zero-above" else 2
+    assert formatted == [n - i for i in range(n) for _ in range(per_row)]
 
 
 def _saved_text(tmp_path, state):
@@ -618,6 +644,43 @@ def test_loader_sizes_no_array_for_more_pairs_than_the_file_holds(tmp_path, caps
     assert peak < 1e6
     assert main(["analyze", str(path), str(path)]) == 3
     assert capsys.readouterr().err.strip() == f"error: {expected[1]}"
+
+
+PIPED = {
+    "canonical": lambda text: text,
+    "compact": NON_CANONICAL["compact"],  # no `"rho": `: the grid reader parses it all
+    "indent-2": NON_CANONICAL["indent-2"],
+    "junk": lambda text: text.removesuffix("\n") + "x\n",  # streamed to its end, then rejected
+    "no-grid": lambda text: text.replace('"n": 64', '"n": 1'),
+    "huge-n": lambda text: _grid_text("canonical", [[1.0, 0.0], [0.0, 0.0], [0.0, 0.0], [1.0, 0.0]], n="100000"),
+    "crlf-junk": lambda text: text.replace(", ", ",\r\n", 9).replace("]]}", "]] x}"),  # positions as read_text's
+    "undecodable": lambda text: text.replace('"units": "', '"units": "\udcff'),
+}
+
+
+def _read_outcome(read, path):
+    """What `read(path)` gives: a state's grid and kernel bytes, a grid, or
+    the error's message with `path` spelled <path>."""
+    try:
+        result = read(path)
+    except DataFormatError as exc:
+        return str(exc).replace(str(path), "<path>")
+    return (result.grid, result.rho.tobytes()) if isinstance(result, SpectralDensityMatrix) else result
+
+
+@pytest.mark.parametrize("layout", sorted(PIPED))
+def test_loader_reads_a_pipe_as_the_file(tmp_path, grid64, layout):
+    # A pipe is read once into memory, and its bytes take the file's route:
+    # the same kernel bits or the same error, named by the pipe's path.
+    state = time_jitter_state(gaussian_pure(grid64, 0.5, 1.0, chirp=0.4), 0.7)
+    data = PIPED[layout](_saved_text(tmp_path, state)).encode(errors="surrogateescape")
+    path = tmp_path / "state.json"
+    path.write_bytes(data)
+    for read in (load_density_matrix, core.read_density_matrix_grid):
+        with piped(tmp_path / f"pipe-{read.__name__}", data) as pipe:
+            assert _read_outcome(read, pipe) == _read_outcome(read, path)
+    if layout in ("canonical", "compact", "indent-2"):
+        assert _read_outcome(load_density_matrix, path) == (grid64, state.rho.tobytes())
 
 
 # ---------------------------------------------------------------------------

@@ -74,6 +74,7 @@ from spectomo import (
     save_density_matrix,
     simulate_counts,
     time_jitter_state,
+    validate,
     write_records,
 )
 from spectomo.core import _streamed_document, density_matrix_from_dict
@@ -213,6 +214,13 @@ def test_from_kernel_holds_one_copy_of_the_kernel(kernel_state):
     np.testing.assert_array_equal(built.rho, state.rho)
     assert kept == pytest.approx(kernel_mb, rel=0.01)
     assert peak - kernel_mb < EXTRA_KERNELS * kernel_mb
+
+
+def test_validate_of_a_state_takes_its_deviation_a_strip_at_a_time(kernel_state):
+    state, kernel_mb = kernel_state
+    report, peak, _ = _peak_mb(lambda: validate(state))
+    assert report.ok
+    assert peak < EXTRA_KERNELS * kernel_mb
 
 
 def test_loader_holds_one_copy_of_the_kernel(kernel_state, tmp_path):

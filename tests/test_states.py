@@ -2,11 +2,14 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from spectomo import (
     DataFormatError,
     DiagnosticWarning,
     GridMismatchError,
+    InterferometerConfig,
     PureSpectralAmplitude,
     SpectralDensityMatrix,
     density_from_pure,
@@ -15,13 +18,17 @@ from spectomo import (
     hs_overlap,
     make_grid,
     mix,
+    plan_scan,
     purity,
+    reconstruct_records,
+    simulate_counts,
     time_jitter_state,
     validate,
 )
 from spectomo import core
 from spectomo.cli import main
-from spectomo.core import HERMITIAN_TOL, density_matrix_from_dict
+from spectomo.core import HERMITIAN_TOL, PSD_TOL, density_matrix_from_dict
+from spectomo.diagnostics import capture
 from conftest import random_contained_state
 
 
@@ -349,6 +356,7 @@ def test_strip_checks_equal_whole_array_expressions(monkeypatch, check_rows):
             assert strips.tobytes() == whole.tobytes()  # signed zeros included
             for m in (kernel, strips):
                 assert core._is_exactly_hermitian(m) == np.array_equal(m, m.conj().T)
+                assert core._hermitian_deviation(m) == float(np.max(np.abs(m - m.conj().T)))
             deviation = float(np.abs(kernel - kernel.conj().T).max())
             if deviation > HERMITIAN_TOL * float(np.abs(kernel).max()):
                 doc = {"omega_min": 0.0, "d_omega": grid.d_omega, "n": n, "rho": kernel.view(np.float64).reshape(-1, 2)}
@@ -358,6 +366,23 @@ def test_strip_checks_equal_whole_array_expressions(monkeypatch, check_rows):
                     f"kernel entries are not Hermitian: max|K - K^dagger| = {deviation:.3g} exceeds "
                     f"{HERMITIAN_TOL:g} * max|K|"
                 )
+
+
+def test_factories_hold_the_kernel_from_kernel_makes(grid64):
+    # Each factory hands its own kernel to the state; the bits are those of
+    # `from_kernel` of the same kernel, which symmetrizes a copy of it.
+    psi, other = gaussian_pure(grid64, 0.3, 1.0, chirp=0.4), gaussian_pure(grid64, -1.0, 0.8)
+    a, b = density_from_pure(psi), density_from_pure(other)
+    delta = grid64.omegas[:, None] - grid64.omegas[None, :]
+    cases = [
+        (a, np.outer(psi.psi, psi.psi.conj()), False),
+        (mix([(0.3, a), (0.7, b)]), 0.3 * a.rho + 0.7 * b.rho, True),
+        (time_jitter_state(psi, 0.7), np.outer(psi.psi, psi.psi.conj()) * np.exp(-0.5 * (0.7 * delta) ** 2), False),
+    ]
+    for state, kernel, renormalize in cases:
+        reference = SpectralDensityMatrix.from_kernel(grid64, kernel, renormalize=renormalize)
+        assert state.rho.tobytes() == reference.rho.tobytes()
+        assert not state.rho.flags.writeable
 
 
 def test_from_kernel_state_owns_its_kernel(grid64):
@@ -371,6 +396,83 @@ def test_from_kernel_state_owns_its_kernel(grid64):
 # ---------------------------------------------------------------------------
 # invariants
 # ---------------------------------------------------------------------------
+
+# ---------------------------------------------------------------------------
+# eigenvalues: a real kernel in real arithmetic
+# ---------------------------------------------------------------------------
+
+@st.composite
+def real_kernels(draw):
+    """A real symmetric kernel on a grid: a random Gram matrix, or one whose
+    smallest eigenvalue is set near -PSD_TOL times the largest."""
+    n = draw(st.integers(2, 24))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    near = draw(st.none() | st.floats(0.0, 2.0))
+    if near is None:
+        a = rng.normal(size=(n, int(rng.integers(1, n + 1))))
+        kernel = a @ a.T
+    else:
+        q, _ = np.linalg.qr(rng.normal(size=(n, n)))
+        w = rng.uniform(0.0, 1.0, size=n)
+        w[0], w[-1] = -near * PSD_TOL, 1.0
+        kernel = (q * w) @ q.T
+    kernel = (kernel + kernel.T) / 2.0
+    return make_grid(0.0, 16.0, n), kernel.astype(np.complex128)  # every Im +0.0
+
+
+@settings(max_examples=200, deadline=None)
+@given(case=real_kernels(), minus_zero=st.booleans())
+def test_real_and_complex_eigenvalues_agree(case, minus_zero):
+    grid, kernel = case
+    if minus_zero:  # -0.0 counts as zero: the lower triangle as a loaded real file holds it
+        kernel.imag[np.tril_indices(grid.n, -1)] = -0.0
+    assert not kernel.imag.any()
+    real = core._spectral_weights(kernel, grid)
+    full = np.linalg.eigvalsh(kernel) * grid.d_omega  # the complex path
+    bound = 64 * grid.n * np.finfo(np.float64).eps * np.abs(full).max()
+    assert np.abs(real - full).max() <= bound
+    # The positivity check gives the same verdict wherever its margin exceeds the bound.
+    accepted = full[-1] > 0.0 and full[0] >= -PSD_TOL * full[-1]
+    if abs(full[0] + PSD_TOL * full[-1]) > bound and abs(full[-1]) > bound:
+        try:
+            SpectralDensityMatrix._from_hermitian(grid, kernel.copy())
+            rejected = False
+        except ValueError as exc:
+            rejected = "positive semidefinite" in str(exc)
+        assert rejected == (not accepted)
+
+
+def _eigvalsh_inputs(monkeypatch):
+    """The dtypes `np.linalg.eigvalsh` is called with from now on."""
+    seen, eigvalsh = [], np.linalg.eigvalsh
+    monkeypatch.setattr(np.linalg, "eigvalsh", lambda a: seen.append(a.dtype) or eigvalsh(a))
+    return seen
+
+
+def test_real_kinds_take_the_real_path_and_complex_ones_the_complex(monkeypatch):
+    grid = make_grid(0.0, 16.0, 32)
+    pure, chirped = gaussian_pure(grid, 0.0, 1.0), gaussian_pure(grid, 0.0, 1.0, chirp=0.5)
+    kinds = {  # the gen-state kinds, and a chirped time-jitter state
+        "gaussian": lambda: density_from_pure(pure),
+        "mixture": lambda: mix([(0.5, density_from_pure(gaussian_pure(grid, x, 1.0))) for x in (-2.0, 2.0)]),
+        "time-jitter": lambda: time_jitter_state(pure, 1.0),
+        "freq-jitter": lambda: frequency_jitter_state(pure, 0.5),
+        "chirped": lambda: density_from_pure(chirped),
+        "chirped-time-jitter": lambda: time_jitter_state(chirped, 1.0),
+    }
+    plan = plan_scan(grid, grid.n - 1, 20000, 7)
+    seen = _eigvalsh_inputs(monkeypatch)
+    for name, build in kinds.items():
+        state = build()
+        assert seen[-1] == (np.complex128 if name.startswith("chirped") else np.float64), name
+        with capture():
+            table = simulate_counts(state, plan, InterferometerConfig(gamma=0.9), exact=True)
+        rho_hat = reconstruct_records(table, grid).rho_hat  # the projection's eigh, no eigvalsh
+        assert rho_hat.rho.imag.any()
+        seen.clear()
+        assert validate(rho_hat).psd_ok
+        assert seen == [np.complex128], name
+
 
 def test_construction_closure(standard_states):
     for name, state in standard_states.items():
