@@ -295,10 +295,10 @@ def cmd_analyze(args) -> int:
             )
         )
         return EXIT_OK
-    width = max(len(Path(p).name) for p in args.files)
+    width = max(len(path) for path in args.files)
     print(f"{'file':<{width}}  purity")
     for path, value in zip(args.files, purities):
-        print(f"{Path(path).name:<{width}}  {value:.10g}")
+        print(f"{path:<{width}}  {value:.10g}")
     if len(states) > 1:
         print("pairwise overlap tr(rho_a rho_b):")
         for row in overlap:

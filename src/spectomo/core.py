@@ -17,17 +17,18 @@ convention fixes all unit bookkeeping below.
 from __future__ import annotations
 
 import gc
+import io
 import json
 import locale
 import math
 import os
 import re
+import stat
 from collections import deque
 from contextlib import ExitStack
 from dataclasses import dataclass, field
 from functools import cached_property
 from itertools import chain, repeat
-from pathlib import Path
 
 import numpy as np
 
@@ -173,13 +174,14 @@ class SpectralDensityMatrix:
     rows at a time, so no n x n complex temporary is made beside the kernel.
 
     The `cache` dict memoizes the eigenvalues, the one derived quantity read
-    more than once; it is append-only and excluded from equality. Neither
+    more than once; it is append-only, excluded from equality and not a
+    constructor argument, so only the state's own checks fill it. Neither
     the cross-section transforms nor the written text are cached.
     """
 
     grid: FrequencyGrid
     rho: np.ndarray
-    cache: dict = field(default_factory=dict, compare=False, repr=False)
+    cache: dict = field(default_factory=dict, init=False, compare=False, repr=False)
 
     def __post_init__(self):
         self._hold(np.array(self.rho, dtype=np.complex128))
@@ -772,6 +774,17 @@ _RHO_KEY = b'"rho": '
 _PARSE_CHARS = 1 << 18
 
 
+def _rewindable(path):
+    """The file at `path` open for binary reads as a handle that can go back
+    to its start: a regular file as opened, any other (a pipe, say) read
+    once into an in-memory file, which then holds its bytes whole."""
+    f = open(path, "rb")
+    if stat.S_ISREG(os.fstat(f.fileno()).st_mode):
+        return f
+    with f:
+        return io.BytesIO(f.read())
+
+
 def _head(f) -> tuple[bytes, bytes]:
     """The bytes of the binary file `f` up to and including its first
     `"rho": `, read 64 kB at a time, and the bytes read past them; two
@@ -791,7 +804,7 @@ def _head_document(head: bytes) -> dict | None:
     """The document that `head`, a file's bytes up to its first `"rho": `,
     begins, else None.
 
-    The head is decoded as `Path.read_text` decodes the file; with `[]}`
+    The head is decoded as `_json_read` decodes the file; with `[]}`
     appended it must be a JSON object whose `rho` is `[]`, and that object,
     grid fields and all, is returned.
     """
@@ -802,9 +815,9 @@ def _head_document(head: bytes) -> dict | None:
     return doc if isinstance(doc, dict) and doc.get("rho") == [] else None
 
 
-def _read_pairs(f, data: bytes, count: int) -> np.ndarray | None:
-    """The (count, 2) float64 array of a `rho` list that `data`, the bytes
-    read past a file's head, begins and the rest of the binary file `f`
+def _read_pairs(f, rest: bytes, count: int) -> np.ndarray | None:
+    """The (count, 2) float64 array of a `rho` list that `rest`, the bytes
+    read past a file's head, begins and the remainder of the binary file `f`
     continues, read _PARSE_CHARS bytes at a time; else None.
 
     The list must hold `count` pairs that `_PAIRS` matches, and only `}` and
@@ -812,15 +825,15 @@ def _read_pairs(f, data: bytes, count: int) -> np.ndarray | None:
     matched and parsed by numpy with the values `float()` gives, so every
     number is parsed as in one piece and no Python object is made per entry;
     a block that completes no pair ends the attempt. The array is sized only
-    if the file is large enough to hold `count` pairs: a regular file by
-    its size on disk, the in-memory bytes of any other (see `_binary`) by
-    their count.
+    if the file, as long as `f` seeks to its end, can hold `count` pairs.
     """
-    size = len(f.getvalue()) if hasattr(f, "getvalue") else os.fstat(f.fileno()).st_size
+    at = f.tell()
+    size = f.seek(0, os.SEEK_END)
+    f.seek(at)
     if size < 10 * count:  # a pair takes 10 bytes or more: [0.0, 0.0]
         return None
     out = np.empty((count, 2))
-    row, text = 0, bytearray(data)
+    row, text = 0, bytearray(rest)
     while True:
         block = f.read(_PARSE_CHARS)
         text += block
@@ -852,30 +865,11 @@ def _read_pairs(f, data: bytes, count: int) -> np.ndarray | None:
             return out if row == count else None
 
 
-def _bytes_unless_regular(path) -> bytes | None:
-    """None if `path` names a regular file, which the loader may open and
-    read more than once; else the file's bytes (a pipe, say), read once.
-    The loader then reads those bytes as it would a regular file's."""
-    if os.path.isfile(path):
-        return None
-    with open(path, "rb") as f:  # raises as the loader's own open would
-        return f.read()
-
-
-def _binary(path, data: bytes | None):
-    """The file at `path` opened for binary reads, or `data`, its bytes read
-    by `_bytes_unless_regular`, as an in-memory file."""
-    if data is None:
-        return open(path, "rb")
-    import io  # loaded at start-up; imported here so that importing core adds nothing
-
-    return io.BytesIO(data)
-
-
-def _json_read(path, read, data: bytes | None):
-    """`read(doc)` of the document that `json.loads` makes of the file at
-    `path`, or of its bytes `data` where given, as `Path.read_text` decodes
-    it, universal newlines included, which must be a JSON object.
+def _json_read(path, f, read):
+    """`read(doc)` of the document that `json.loads` makes of `f`, the file
+    at `path` as `_rewindable` opens it, read from its start and decoded
+    once as `open(path)` decodes it, universal newlines included; the
+    document must be a JSON object. Errors name `path`.
 
     The cyclic GC is paused from the parse until the document is freed, then
     restored to its prior state: json.loads builds a list per entry, and a
@@ -886,10 +880,12 @@ def _json_read(path, read, data: bytes | None):
     gc.disable()
     try:
         try:
-            if data is None:
-                text = Path(path).read_text()
-            else:  # decoded as `open(path)` decodes, universal newlines included
-                text = data.decode(locale.getpreferredencoding(False)).replace("\r\n", "\n").replace("\r", "\n")
+            f.seek(0)
+            decoded = io.TextIOWrapper(f, encoding=locale.getpreferredencoding(False))
+            try:
+                text = decoded.read()
+            finally:
+                decoded.detach()  # `f` stays open for the caller
             doc = json.loads(text)
             del text
         except UnicodeDecodeError as exc:
@@ -914,10 +910,10 @@ def _document_grid(doc: dict | None) -> FrequencyGrid | None:
         return None
 
 
-def _streamed_document(path, data: bytes | None = None) -> dict | None:
-    """The document of a file laid out as `save_density_matrix` writes it,
-    its `rho` the (n*n, 2) float64 array `_read_pairs` parses, else None.
-    The file is the one at `path`, or its bytes `data` where given.
+def _streamed_document(f) -> dict | None:
+    """The document of the binary file `f` if it is laid out as
+    `save_density_matrix` writes it, its `rho` the (n*n, 2) float64 array
+    `_read_pairs` parses, else None.
 
     Such a file is `<head>"rho": <body>}` plus JSON whitespace, where
     `<head>"rho": []}` is a JSON object whose grid fields make a grid of n
@@ -925,11 +921,10 @@ def _streamed_document(path, data: bytes | None = None) -> dict | None:
     `_PAIRS` matches. It is then valid JSON whose last key is `rho`, so
     `json.loads` of its text gives the same dict with `rho` as lists.
     """
-    with _binary(path, data) as f:
-        head, rest = _head(f)
-        doc = _head_document(head)
-        grid = _document_grid(doc)
-        pairs = _read_pairs(f, rest, grid.n * grid.n) if grid else None
+    head, rest = _head(f)
+    doc = _head_document(head)
+    grid = _document_grid(doc)
+    pairs = _read_pairs(f, rest, grid.n * grid.n) if grid else None
     if pairs is None:
         return None
     doc["rho"] = pairs
@@ -939,52 +934,47 @@ def _streamed_document(path, data: bytes | None = None) -> dict | None:
 def load_density_matrix(path) -> SpectralDensityMatrix:
     """Read a density-matrix JSON file: any JSON object `density_matrix_from_dict` accepts.
 
-    The file is parsed as it is read: its head up to `"rho": `, then, for
-    a file laid out as `save_density_matrix` writes it, its `rho` list block
-    by block into one float64 array (see `_streamed_document`), so its text
-    is never held whole. Any other file, including one found not to be so
-    laid out after its head, is read again and parsed by `json.loads` of
-    its text as `Path.read_text` decodes it, with the cyclic GC paused until
-    the parsed lists are freed (see `_json_read`). The route depends only on
-    the file's bytes, and the kernel bits or the error are those of the
-    `json.loads` route alone. Either way the float64 array parsed from
-    `rho` becomes the state's kernel, symmetrized in place: a load makes no
-    second n x n copy. A file that is not regular (a pipe, say) is read
-    once into memory, and its bytes take the same route as a regular
-    file's, so they are held through the parse.
+    The file is opened once, by `_rewindable`, and parsed as it is read:
+    its head up to `"rho": `, then, for a file laid out as
+    `save_density_matrix` writes it, its `rho` list block by block into one
+    float64 array (see `_streamed_document`), so its text is never held
+    whole. Any other file, including one found not to be so laid out after
+    its head, is read again from its start on the same handle and parsed by
+    `json.loads` of its text as `open(path)` decodes it, with the cyclic GC
+    paused until the parsed lists are freed (see `_json_read`). The route
+    depends only on the file's bytes, and the kernel bits or the error are
+    those of the `json.loads` route alone. Either way the float64 array
+    parsed from `rho` becomes the state's kernel, symmetrized in place: a
+    load makes no second n x n copy. A file that is not regular (a pipe,
+    say) is read once into memory and held there through the load; its
+    bytes take the route a regular file's would.
     """
-    return _load(path, _bytes_unless_regular(path))
-
-
-def _load(path, data: bytes | None) -> SpectralDensityMatrix:
-    """`load_density_matrix(path)`, of the file's bytes `data` where given."""
-    doc = _streamed_document(path, data)
-    if doc is not None:
-        return _document_state(doc, own=True)
-    return _json_read(path, density_matrix_from_dict, data)
+    with _rewindable(path) as f:
+        doc = _streamed_document(f)
+        if doc is None:
+            return _json_read(path, f, density_matrix_from_dict)
+    return _document_state(doc, own=True)
 
 
 def read_density_matrix_grid(path) -> FrequencyGrid:
     """The grid of a density-matrix file, without its kernel.
 
-    The file is read only up to `"rho": `, by the loader's `_head`, and the
-    grid comes from that head as the loader decodes it. Any other file, or
-    a head whose fields make no grid, is parsed as `load_density_matrix`
-    parses it through `json.loads`. The kernel is not checked, so a file
-    whose kernel the loader rejects may still give its grid here; where the
-    document makes no grid, the error is the one `load_density_matrix`
-    raises for the file. A file with a key repeated after `rho` may load on
-    another grid than its head names. A file that is not regular is read
-    once into memory, as the loader reads it, so it cannot be read again
-    for its kernel.
+    The file is opened once, as the loader opens it, and read only up to
+    `"rho": ` by the loader's `_head`; the grid comes from that head as
+    the loader decodes it. Any other file, or a head whose fields make no
+    grid, is read again from its start on the same handle and parsed as
+    `load_density_matrix` parses it through `json.loads`. The kernel is not
+    checked, so a file whose kernel the loader rejects may still give its
+    grid here; where the document makes no grid, the error is the one
+    `load_density_matrix` raises for the file. A file with a key repeated
+    after `rho` may load on another grid than its head names. A file that
+    is not regular is read once into memory, as the loader reads it, so it
+    cannot be read again for its kernel.
     """
-    data = _bytes_unless_regular(path)
-    with _binary(path, data) as f:
+    with _rewindable(path) as f:
         head, _ = _head(f)
-    # Where the fields make no grid, the loader raises its own error for
-    # the file, which may be about the entries: it checks them first.
-    return (
-        _document_grid(_head_document(head))
-        or _json_read(path, _document_grid, data)
-        or _load(path, data).grid
-    )
+        # Where the fields make no grid, the loader's own error for the
+        # document, which may be about the entries: it checks them first.
+        return _document_grid(_head_document(head)) or _json_read(
+            path, f, lambda doc: _document_grid(doc) or density_matrix_from_dict(doc).grid
+        )

@@ -349,13 +349,16 @@ def test_analyze_and_reconstruct_read_a_piped_state_as_the_file(tmp_path, capsys
         return capsys.readouterr().out
 
     expected = reconstruct(state, tmp_path / "file")
-    for link in ("truth", "analyze"):
-        (tmp_path / link).mkdir()
+    (tmp_path / "truth").mkdir()
     with piped(tmp_path / "truth" / "state.json", state.read_bytes()) as truth:  # read once, kept
         assert reconstruct(truth, tmp_path / "pipe") == expected
     rho = tmp_path / "file" / "rho.json"
-    with piped(tmp_path / "analyze" / "state.json", state.read_bytes()) as pipe:  # named as the file is
-        assert analyze(pipe, rho) == analyze(state, rho)
+    table = analyze(state, rho)
+    assert table.splitlines()[1].startswith(f"{state}  ")  # each input named as given
+    data = state.read_bytes()
+    state.unlink()
+    with piped(state, data) as pipe:  # at the file's own path, so the whole table compares
+        assert analyze(pipe, rho) == table
 
 
 def test_reconstruct_round_trip(tmp_path, capsys):
@@ -650,6 +653,19 @@ def test_gen_state_rejects_non_finite_shape(tmp_path, capsys, kind, flag, value,
     assert main(["gen-state", kind, "--n", "16", "--out", str(out), flag, value]) == 2
     assert f"error: {message}" in capsys.readouterr().err
     assert not out.exists()
+
+
+def test_analyze_names_each_file_as_given(tmp_path, capsys):
+    # Two files of one name in different directories stay apart in the table.
+    for name in ("a", "b"):
+        (tmp_path / name).mkdir()
+    a = _gen(tmp_path / "a", extra=["--n", "16"])
+    b = _gen(tmp_path / "b", extra=["--n", "16", "--omega0", "1"])
+    capsys.readouterr()
+    assert main(["analyze", str(a), str(b)]) == 0
+    header, first, second = capsys.readouterr().out.splitlines()[:3]
+    assert header == "file".ljust(len(str(a))) + "  purity"
+    assert first.startswith(f"{a}  ") and second.startswith(f"{b}  ")
 
 
 def test_analyze_grid_mismatch(tmp_path):

@@ -1,6 +1,9 @@
+import contextlib
 import gc
+import io
 import json
 import math
+import os
 import tracemalloc
 from pathlib import Path
 
@@ -113,10 +116,16 @@ def _grid_text(layout, pairs, n="2", omega_min="0.0"):
     return f'{{"omega_min":{omega_min},"d_omega":0.5,"n":{n},"rho":[{rho}]}}'
 
 
+def _streamed(path):
+    """`core._streamed_document` of the file at `path`, open for binary reads."""
+    with open(path, "rb") as f:
+        return core._streamed_document(f)
+
+
 def _assert_layout(path, text, layout):
     """Write `text` to `path`: with a good grid, only the canonical layout streams."""
     path.write_text(text)
-    assert (core._streamed_document(path) is not None) == (layout == "canonical")
+    assert (_streamed(path) is not None) == (layout == "canonical")
 
 
 def _rejections(path, capsys):
@@ -139,7 +148,7 @@ def test_loader_rejects_n_below_2_or_not_an_integer(tmp_path, capsys, case, layo
     pairs = [[1.0, 0.0], [0.0, 0.0], [0.0, 0.0], [1.0, 0.0]]
     _assert_layout(path, _grid_text(layout, pairs), layout)
     path.write_text(_grid_text(layout, pairs[:entries], n=text))
-    assert core._streamed_document(path) is None  # no grid: the `json.loads` route
+    assert _streamed(path) is None  # no grid: the `json.loads` route
     message = f"n must be an integer of at least 2, got {json.loads(text)!r}"
     assert _rejections(path, capsys) == [message] * 3
 
@@ -150,7 +159,7 @@ def test_loader_rejects_a_grid_field_beyond_a_float(tmp_path, capsys, layout):
     pairs = [[1.0, 0.0], [0.0, 0.0], [0.0, 0.0], [1.0, 0.0]]
     _assert_layout(path, _grid_text(layout, pairs), layout)
     path.write_text(_grid_text(layout, pairs, omega_min="1" * 400))
-    assert core._streamed_document(path) is None  # no grid: the `json.loads` route
+    assert _streamed(path) is None  # no grid: the `json.loads` route
     message = "malformed density-matrix document: int too large to convert to float"
     assert _rejections(path, capsys) == [message] * 3
 
@@ -230,7 +239,7 @@ def test_canonical_reader_parses_every_finite_float_as_json_does(tmp_path_factor
     text = _n2_text(0.5, [values[k : k + 2] for k in range(0, 8, 2)])
     path = tmp_path_factory.getbasetemp() / "any-floats.json"
     path.write_text(text)
-    doc = core._streamed_document(path)
+    doc = _streamed(path)
     assert doc is not None
     expected = np.array(json.loads(text)["rho"], dtype=np.float64)
     assert doc["rho"].dtype == np.float64
@@ -417,7 +426,7 @@ def test_loader_reads_other_layouts_as_json_does(tmp_path, grid64, layout):
     text = NON_CANONICAL[layout](_saved_text(tmp_path, state))
     path = tmp_path / "other.json"
     path.write_text(text)
-    assert core._streamed_document(path) is None
+    assert _streamed(path) is None
     np.testing.assert_array_equal(load_density_matrix(path).rho, state.rho)
     assert _outcome(load_density_matrix, path) == _outcome(_reference_load, path)
 
@@ -461,7 +470,7 @@ def test_loader_reads_integer_entries(tmp_path):
     text = json.dumps({"omega_min": 0.0, "d_omega": 0.5, "n": 2, "rho": [[1, 0], [0, 0], [0, 0], [1, 0]]})
     path = tmp_path / "int.json"
     path.write_text(text)
-    assert core._streamed_document(path) is None
+    assert _streamed(path) is None
     np.testing.assert_array_equal(load_density_matrix(path).rho, np.eye(2))
     assert _outcome(load_density_matrix, path) == _outcome(_reference_load, path)
 
@@ -502,7 +511,7 @@ def test_loader_decodes_a_non_ascii_head_as_read_text_does(tmp_path, grid64):
     text = text.replace('"units": "SI-rad-per-s"', '"units": "rad/\u00b5s \u2013 \u00e9t\u00e9"', 1)
     path = tmp_path / "non-ascii.json"
     path.write_text(text, encoding="utf-8")
-    assert core._streamed_document(path) is not None
+    assert _streamed(path) is not None
     assert load_density_matrix(path).rho.tobytes() == _reference_load(path).rho.tobytes()
 
 
@@ -564,7 +573,7 @@ def _first_block_read(text):
 
 
 def _assert_streams_as_json_does(path):
-    assert core._streamed_document(path) is not None
+    assert _streamed(path) is not None
     kind, rho = _outcome(load_density_matrix, path)
     assert kind == "rho"
     assert (kind, rho) == _outcome(_reference_load, path)
@@ -623,7 +632,7 @@ def test_loader_rejects_junk_after_the_object_as_json_does(tmp_path, monkeypatch
     assert len(text) > _first_block_read(text) + 8 * BLOCK
     path = tmp_path / "junk.json"
     path.write_text(text)
-    assert core._streamed_document(path) is None
+    assert _streamed(path) is None
     kind, message = _outcome(load_density_matrix, path)
     assert (kind, message) == _outcome(_reference_load, path)
     assert kind == "DataFormatError" and "not valid JSON" in message
@@ -683,6 +692,42 @@ def test_loader_reads_a_pipe_as_the_file(tmp_path, grid64, layout):
         assert _read_outcome(load_density_matrix, path) == (grid64, state.rho.tobytes())
 
 
+OPENED_ONCE = {
+    "canonical": PIPED["canonical"],
+    "indent-2": PIPED["indent-2"],
+    "compact": PIPED["compact"],
+    "junk": PIPED["junk"],  # streamed to its end, then read again from its start
+    "crlf": lambda text: NON_CANONICAL["indent-2"](text).replace("\n", "\r\n"),
+}
+
+
+@pytest.mark.parametrize("source", ["file", "pipe"])
+@pytest.mark.parametrize("layout", sorted(OPENED_ONCE))
+def test_loader_and_grid_reader_open_the_path_once(tmp_path, grid64, monkeypatch, layout, source):
+    # Every route reads the one handle opened first: the `json.loads`
+    # fallback goes back to its start instead of opening the path again.
+    state = time_jitter_state(gaussian_pure(grid64, 0.5, 1.0, chirp=0.4), 0.7)
+    data = OPENED_ONCE[layout](_saved_text(tmp_path, state)).encode()
+    path = tmp_path / "state.json"
+    path.write_bytes(data)
+    expected = {read: _read_outcome(read, path) for read in (load_density_matrix, core.read_density_matrix_grid)}
+    real_open, opened = io.open, []
+
+    def spy(file, *args, **kwargs):
+        if isinstance(file, (str, os.PathLike)):
+            opened.append(os.fspath(file))
+        return real_open(file, *args, **kwargs)
+
+    monkeypatch.setattr(core, "open", spy, raising=False)
+    monkeypatch.setattr(io, "open", spy)  # the one `Path.open` calls
+    for read, outcome in expected.items():
+        pipe = piped(tmp_path / f"pipe-{read.__name__}", data) if source == "pipe" else contextlib.nullcontext(path)
+        with pipe as target:
+            opened.clear()
+            assert _read_outcome(read, target) == outcome
+            assert opened == [str(target)], read.__name__
+
+
 # ---------------------------------------------------------------------------
 # One kernel per load, and the grid read from a file's head
 # ---------------------------------------------------------------------------
@@ -712,7 +757,7 @@ def test_dict_reader_leaves_a_callers_array_as_it_was(tmp_path):
     # Within HERMITIAN_TOL of Hermitian, so symmetrizing changes entry (1, 0).
     path = tmp_path / "near.json"
     path.write_text(_n2_text(0.25, [[2.0, 0.0], [0.5, 0.25], [0.5 + 1e-12, -0.25], [2.0, 0.0]]))
-    doc = core._streamed_document(path)
+    doc = _streamed(path)
     before = doc["rho"].copy()
     state = density_matrix_from_dict(doc)
     assert not np.shares_memory(state.rho, doc["rho"])

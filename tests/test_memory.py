@@ -227,7 +227,8 @@ def test_loader_holds_one_copy_of_the_kernel(kernel_state, tmp_path):
     state, kernel_mb = kernel_state
     path = tmp_path / "rho.json"
     save_density_matrix(path, state)
-    doc = _streamed_document(path)  # the (entries, 2) float64 array parsed from the file
+    with open(path, "rb") as f:
+        doc = _streamed_document(f)  # the (entries, 2) float64 array parsed from the file
     loaded, peak, _ = _peak_mb(lambda: density_matrix_from_dict(doc))
     np.testing.assert_array_equal(loaded.rho, state.rho)
     assert peak - kernel_mb < EXTRA_KERNELS * kernel_mb

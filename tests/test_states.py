@@ -521,3 +521,16 @@ def test_states_are_immutable(grid64):
     rho = density_from_pure(gaussian_pure(grid64, 0.0, 1.0))
     with pytest.raises(ValueError):
         rho.rho[0, 0] = 1.0
+
+
+def test_the_eigenvalue_cache_is_not_a_constructor_argument(grid64):
+    # Only the state's own checks fill the cache: eigenvalues passed in
+    # would be reported by `eigenvalues()`, `validate` and `gen-state` unchecked.
+    state = density_from_pure(gaussian_pure(grid64, 0.0, 1.0))
+    with pytest.raises(TypeError, match="cache"):
+        SpectralDensityMatrix(grid64, state.rho, cache={"eigenvalues": np.zeros(grid64.n)})
+    with pytest.raises(TypeError):
+        SpectralDensityMatrix(grid64, state.rho, {"eigenvalues": np.zeros(grid64.n)})
+    fresh = SpectralDensityMatrix(grid64, state.rho)
+    assert fresh.cache == {}
+    np.testing.assert_allclose(fresh.eigenvalues(), state.eigenvalues(), atol=1e-12)
