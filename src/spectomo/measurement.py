@@ -30,9 +30,11 @@ from __future__ import annotations
 import bisect
 import cmath
 import math
+import os
 import warnings
 from dataclasses import dataclass
 from itertools import chain, repeat
+from stat import S_ISREG
 
 import numpy as np
 
@@ -114,10 +116,11 @@ def _theta_slots(theta: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return near[1].astype(np.int64), ~(near[0] | near[1])
 
 
-def _phase_check(off: np.ndarray, theta_at) -> tuple:
-    """The (mask, message(row)) check, for `_first_invalid` in place of the
-    theta_slot range check, of the rows `off` both THETAS; `theta_at(row)`
-    is the phase read in that row."""
+def _phase_check(off, theta_at) -> tuple:
+    """The (mask(rows), message(row)) check, for `_first_invalid` in place of
+    the theta_slot range check, of the rows off both THETAS: `off(rows)` is
+    their mask over the slice `rows`, and `theta_at(row)` the phase read in
+    that row."""
     return off, lambda r: f"theta_rad must be 0 or pi/2 (the two tomography phases), got {theta_at(r)!r}"
 
 
@@ -146,16 +149,9 @@ def _isclose(total: np.ndarray, post: np.ndarray) -> np.ndarray:
 _WRAP_FREE = 2**61
 
 
-def _first_invalid(cols: dict, checks=(), phase=None) -> tuple[int, str] | None:
-    """First row breaking a record invariant, and the reason.
-
-    `checks` are extra (mask, message(row)) pairs tried before the record
-    invariants, in order, for each row; `phase` replaces the theta_slot
-    range check (see `_theta_slots`). Where both counts are int64, a row
-    holding a count of 2**61 or more in magnitude has its sum checked again
-    in float64, as math.isclose converts it, since int64 arithmetic would
-    wrap; int64 post-selected shots are compared with attempted exactly.
-    """
+def _strip_invalid(cols: dict, checks, phase) -> tuple[int, str] | None:
+    """`_first_invalid` of one strip of rows, `cols` the strip's columns and
+    each check a (mask, message(row)) pair of the strip's rows."""
     delta, tau_index, slot = cols["delta_index"], cols["tau_index"], cols["theta_slot"]
     attempted, post = cols["shots_attempted"], cols["shots_postselected"]
     a, b = cols["counts_a"], cols["counts_b"]
@@ -193,6 +189,38 @@ def _first_invalid(cols: dict, checks=(), phase=None) -> tuple[int, str] | None:
         return None
     row = int(np.argmax(bad))
     return row, next(message(row) for mask, message in checks if mask[row])
+
+
+def _first_invalid(cols: dict, checks=(), phase=None) -> tuple[int, str] | None:
+    """First row breaking a record invariant, and the reason.
+
+    `checks` are extra (mask(rows), message(row)) pairs tried before the
+    record invariants, in order, for each row: `mask(rows)` gives the bad
+    rows of the slice `rows` of the table. `phase`, such a pair too,
+    replaces the theta_slot range check (see `_phase_check`). Where both
+    counts are int64, a row holding a count of 2**61 or more in magnitude
+    has its sum checked again in float64, as math.isclose converts it,
+    since int64 arithmetic would wrap; int64 post-selected shots are
+    compared with attempted exactly.
+
+    Rows are checked one strip of _BLOCK_ROWS at a time, so every mask and
+    sum is a strip's: the first strip holding a bad row holds the table's
+    first bad row, and a message names a value as the whole table holds it.
+    """
+    total = len(cols["delta_index"])
+    for start in range(0, total, _BLOCK_ROWS):
+        rows = slice(start, min(start + _BLOCK_ROWS, total))
+
+        def in_strip(check):
+            mask, message = check
+            return mask(rows), lambda r: message(start + r)
+
+        bad = _strip_invalid(
+            {name: col[rows] for name, col in cols.items()}, map(in_strip, checks), phase and in_strip(phase)
+        )
+        if bad is not None:
+            return start + bad[0], bad[1]
+    return None
 
 
 def _checked(cols: dict, phase=None) -> list[np.ndarray]:
@@ -256,7 +284,7 @@ class ScanTable:
         cols = {name: _column(name, values) for name, values in zip(names, given)}
         theta = cols.pop("theta")
         cols["theta_slot"], off = _theta_slots(theta)
-        return cls._trusted(_checked(cols, _phase_check(off, lambda r: theta[r].item())))
+        return cls._trusted(_checked(cols, _phase_check(off.__getitem__, lambda r: theta[r].item())))
 
     @property
     def columns(self) -> tuple[np.ndarray, ...]:
@@ -388,7 +416,7 @@ def simulate_counts(state, plan: ScanPlan, config: InterferometerConfig, *, exac
     c = [complex(config.gamma) * cmath.exp(1j * theta) for theta in THETAS]
     c_re, c_im = np.array([z.real for z in c])[slot], np.array([z.imag for z in c])[slot]
     p_a = np.clip(0.5 + 0.5 * (c_re * g.real - c_im * g.imag), 0.0, 1.0)
-    del g, c_re, c_im  # freed before the table's checks, which set the peak
+    del g, c_re, c_im  # freed before the table is built and checked
 
     shots = plan.shots_per_setting
     attempted = np.full(len(p_a), shots, dtype=np.int64)
@@ -423,9 +451,18 @@ def estimate_p_delta(rows):
             f"no post-selected shots at (delta={table.delta_index[row]}, "
             f"tau_index={table.tau_index[row]}, theta={table.theta[row]})"
         )
+    # 2 * sqrt(max(p * (1 - p), 0) / post) with p = counts_a / post, in place;
+    # IEEE multiplication commutes, so (1 - p) * p has the bits of p * (1 - p).
     p_hat_a = table.counts_a / post
-    p_delta_hat = (table.counts_a - table.counts_b) / post
-    stderr = 2.0 * np.sqrt(np.maximum(p_hat_a * (1.0 - p_hat_a), 0.0) / post)
+    stderr = np.subtract(1.0, p_hat_a)
+    stderr *= p_hat_a
+    del p_hat_a
+    np.maximum(stderr, 0.0, out=stderr)
+    stderr /= post
+    np.sqrt(stderr, out=stderr)
+    stderr *= 2.0
+    difference = table.counts_a - table.counts_b
+    p_delta_hat = np.divide(difference, post, out=difference if difference.dtype.kind == "f" else None)
     return p_delta_hat, stderr
 
 
@@ -442,7 +479,11 @@ def _cell_keys(table: ScanTable) -> np.ndarray:
             f"cannot pool cells up to delta_index {delta_max} and tau_index {tau_max}: "
             "their cell key exceeds a 64-bit integer"
         )
-    return (table.delta_index * tau_span + table.tau_index) * 2 + table.theta_slot
+    key = table.delta_index * tau_span
+    key += table.tau_index
+    key *= 2
+    key += table.theta_slot
+    return key
 
 
 def _tail_rows(table: ScanTable, key: np.ndarray, start: int) -> np.ndarray | None:
@@ -783,6 +824,20 @@ def _parse_block(path, lines, first: int, integral: bool):
     return linenos, columns, integral
 
 
+def _capacity(needed: int, capacity: int, lines: int, chars: int, size: int | None) -> int:
+    """Rows for the read's columns, which hold `capacity` and must hold
+    `needed`, once `lines` lines of `chars` characters after the header are read.
+
+    Where the text after the header is `size` bytes (a file's), the columns
+    are sized by that size over the characters per line read so far, one row
+    in 64 to spare, so that a file of lines as long as its first block's
+    never grows. Columns that run short, and those of a pipe, which has no
+    size, grow by a quarter at least.
+    """
+    estimate = 0 if size is None else lines * size // chars
+    return max(needed, estimate + estimate // 64, capacity + capacity // 4)
+
+
 def read_records(path, grid: FrequencyGrid) -> ScanTable:
     """Parse a record CSV into a ScanTable, one row per non-blank line.
 
@@ -791,10 +846,13 @@ def read_records(path, grid: FrequencyGrid) -> ScanTable:
     index, a theta that is not 0 or pi/2, or counts that break the record
     invariants. Text that does not decode raises DataFormatError too.
 
-    The file is read and parsed _BLOCK_ROWS lines at a time, each block's
-    fields kept as per-column arrays and its text freed before the next is
-    read, so memory follows the table, not the text. Line numbers count
-    across blocks. The record checks run once on the whole table.
+    The file is read once, _BLOCK_ROWS lines at a time, and each block is
+    parsed into the table's own columns, its text and fields freed before
+    the next is read, so memory follows the table, not the text. The
+    columns are allocated on the first block, sized by `_capacity`, grown in
+    place when they run short and cut to the rows read at the end. Line
+    numbers count across blocks. The record checks run once the table is
+    read, a strip of rows at a time.
 
     Each block is first read as integer text, as `write_records` writes a
     table with integer counts: every count an int64 integer and every theta
@@ -805,60 +863,86 @@ def read_records(path, grid: FrequencyGrid) -> ScanTable:
     every entry of it in the file is a whole number: exact to 2**63 - 1
     where every block was integer text, below 2**53 otherwise.
     """
-    names = ["theta_slot" if name == "theta" else name for name in _CSV_DTYPE.names]
-    # int64, so that integer blocks join to int64 columns
-    pieces = {name: [np.zeros(0, dtype=np.int64)] for name in names}
+    columns = None  # in _CSV_DTYPE order, theta's slot in its place; allocated on the first block
     spans = []  # (first row, line numbers of its rows) of each parsed block
-    rows = lineno = 0  # rows parsed and lines read so far
+    rows = lineno = chars = 0  # rows parsed, lines read and the characters of those after the header, so far
     integral = True  # until a block is not integer text
     # (row, theta) of the first phase off both THETAS. Such a row is bad, so
     # it is the only one that can be the first bad row with this message.
     first_off = None
-    block = columns = None
     try:
         with open(path) as f:
+            info = os.fstat(f.fileno())
+            size = info.st_size if S_ISREG(info.st_mode) else None
             for lines, nul in _line_blocks(f, _BLOCK_ROWS):
                 if not lineno:  # the first block starts with the header
                     if lines[0].strip() != RECORD_HEADER:
                         break
+                    if size is not None:
+                        size -= len(lines[0]) + 1
                     del lines[0]
                     lineno = 1
+                chars += len(lines) + sum(map(len, lines))
                 block = _parse_block(path, lines, lineno + 1, integral and not nul)
                 lineno += len(lines)
                 del lines  # free this block's text before reading the next
-                if block is not None:
-                    linenos, columns, integral = block
-                    if not integral:  # the phases as read: their slots, once per block
-                        theta = columns[_THETA]
-                        columns[_THETA], off = _theta_slots(theta)
-                        if first_off is None and off.any():
-                            r = int(np.argmax(off))
-                            first_off = rows + r, theta[r].item()
-                        del theta, off
-                    spans.append((rows, linenos))
-                    rows += len(linenos)
-                    for name, col in zip(names, columns):
-                        pieces[name].append(col)
+                if block is None:
+                    continue
+                linenos, parsed, integral = block
+                del block
+                if not integral:  # the phases as read: their slots, once per block
+                    theta = parsed[_THETA]
+                    parsed[_THETA], off = _theta_slots(theta)
+                    if first_off is None and off.any():
+                        r = int(np.argmax(off))
+                        first_off = rows + r, theta[r].item()
+                    del theta, off
+                end = rows + len(linenos)
+                if columns is None:
+                    capacity = _capacity(end, 0, lineno - 1, chars, size)
+                    columns = [np.empty(capacity, dtype=piece.dtype) for piece in parsed]
+                elif end > len(columns[0]):
+                    capacity = _capacity(end, len(columns[0]), lineno - 1, chars, size)
+                    for col in columns:
+                        # No view of a column outlives the statement that made it.
+                        col.resize(capacity, refcheck=False)
+                for i, piece in enumerate(parsed):
+                    dtype = np.result_type(columns[i], piece)
+                    if dtype != columns[i].dtype:  # int64 counts joining a float block, as np.concatenate joins them
+                        columns[i] = columns[i].astype(dtype)
+                    columns[i][rows:end] = piece
+                del parsed
+                spans.append((rows, linenos))
+                rows = end
     except UnicodeDecodeError as exc:
         raise DataFormatError(f"{path}: not {exc.encoding} text ({exc.reason})") from exc
     if not lineno:
         raise DataFormatError(f"{path}: expected header {RECORD_HEADER!r}")
-    del block, columns  # they hold the last block's pieces, which the joins below free
-    cols = {}
-    for name in names:  # each column joined once, its blocks freed before the next
-        cols[name] = np.concatenate(pieces.pop(name))
+    if columns is None:
+        columns = [np.zeros(0, dtype=np.int64) for _ in _CSV_DTYPE.names]
+    for col in columns:
+        col.resize(rows, refcheck=False)
+    cols = dict(zip(["theta_slot" if name == "theta" else name for name in _CSV_DTYPE.names], columns))
+    del columns
     for name in ("shots_postselected", "counts_a", "counts_b"):
         cols[name] = _integral(cols[name])
     cols["tau"] = cols["tau_index"] * grid.d_tau
     n = grid.n
     delta, tau_index = cols["delta_index"], cols["tau_index"]
-    out_of_range = (delta < 0) | (delta >= n) | (tau_index < 0) | (tau_index >= n)
-    off = np.zeros(rows, dtype=bool)
-    if first_off is not None:
-        off[first_off[0]] = True
-    phase = _phase_check(off, lambda r: first_off[1])
+
+    def out_of_range(strip):
+        d, k = delta[strip], tau_index[strip]
+        return (d < 0) | (d >= n) | (k < 0) | (k >= n)
+
+    def off(strip):
+        mask = np.zeros(strip.stop - strip.start, dtype=bool)
+        if first_off is not None and strip.start <= first_off[0] < strip.stop:
+            mask[first_off[0] - strip.start] = True
+        return mask
+
     bad = _first_invalid(
-        cols, [(out_of_range, lambda r: f"indices out of range for an n={n} grid")], phase
+        cols, [(out_of_range, lambda r: f"indices out of range for an n={n} grid")],
+        _phase_check(off, lambda r: first_off[1]),
     )
     if bad is not None:
         first_row, linenos = spans[bisect.bisect_right([row for row, _ in spans], bad[0]) - 1]

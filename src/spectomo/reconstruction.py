@@ -112,16 +112,24 @@ def _divide(re: np.ndarray, im: np.ndarray, c: complex) -> np.ndarray:
     last bit, which would move every reconstructed byte.
     """
     out = np.empty(re.shape, dtype=np.complex128)
+    # Each part is formed in place in `out`; IEEE addition and multiplication
+    # commute, so im * ratio + re has the bits of re + im * ratio.
     if abs(c.real) >= abs(c.imag):
         ratio = c.imag / c.real
         denom = c.real + c.imag * ratio
-        out.real = (re + im * ratio) / denom
-        out.imag = (im - re * ratio) / denom
+        np.multiply(im, ratio, out=out.real)
+        out.real += re
+        np.multiply(re, ratio, out=out.imag)
+        np.subtract(im, out.imag, out=out.imag)
     else:
         ratio = c.real / c.imag
         denom = c.real * ratio + c.imag
-        out.real = (re * ratio + im) / denom
-        out.imag = (im * ratio - re) / denom
+        np.multiply(re, ratio, out=out.real)
+        out.real += im
+        np.multiply(im, ratio, out=out.imag)
+        out.imag -= re
+    out.real /= denom
+    out.imag /= denom
     return out
 
 
@@ -159,18 +167,30 @@ def estimate_cross_section(
             f"lies off the n={grid.n} grid"
         )
     cells = as_table(pool_records(table))
-    deltas, band = np.unique(cells.delta_index, return_inverse=True)
-    present = np.zeros((len(deltas), grid.n, len(THETAS)), dtype=bool)
-    present[band, cells.tau_index, cells.theta_slot] = True
-    if not present.all():
+    del table, off_grid
+    band_cells = grid.n * len(THETAS)
+    delta = cells.delta_index
+    deltas = delta[::band_cells]  # the band each run of 2n cells starts in
+    # The pooled cells are distinct and sorted by (delta, tau, theta), at
+    # most 2n to a band: every band is complete exactly when each run of 2n
+    # cells ends in the band it starts in.
+    if not (len(delta) % band_cells == 0 and np.array_equal(delta[band_cells - 1::band_cells], deltas)):
+        deltas, band = np.unique(delta, return_inverse=True)
+        present = np.zeros((len(deltas), grid.n, len(THETAS)), dtype=bool)
+        present[band, cells.tau_index, cells.theta_slot] = True
         raise MissingSettingsError(
             [(int(deltas[k]), tau_index, THETAS[slot]) for k, tau_index, slot in np.argwhere(~present).tolist()]
         )
     # One row per (delta, tau, theta) cell, sorted: a (bands, n, 2) block.
-    p_delta, stderr = (a.reshape(present.shape) for a in estimate_p_delta(cells))
-    g = _divide(p_delta[..., 0], -p_delta[..., 1], complex(gamma_hat))
-    se = np.hypot(stderr[..., 0], stderr[..., 1]) / abs(gamma_hat)
-    return CrossSectionEstimate(deltas, g, se)
+    p_delta, stderr = (a.reshape(len(deltas), grid.n, len(THETAS)) for a in estimate_p_delta(cells))
+    del cells
+    im = p_delta[..., 1]
+    np.negative(im, out=im)
+    g = _divide(p_delta[..., 0], im, complex(gamma_hat))
+    del p_delta, im
+    se = np.hypot(stderr[..., 0], stderr[..., 1])
+    se /= abs(gamma_hat)
+    return CrossSectionEstimate(deltas.copy(), g, se)  # a copy: a view would keep the cells' column alive
 
 
 def invert_cross_section(estimate: CrossSectionEstimate, grid: FrequencyGrid) -> np.ndarray:

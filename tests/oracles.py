@@ -23,10 +23,18 @@ f-string per row: the reference for the bytes `write_records` writes.
 theta as float64, never as integer text: put in place of
 `measurement._parse_block`, it gives the outcome that `read_records` must
 give.
+
+`first_invalid_whole_table` is the record check on whole-table masks and
+sums: the reference for `measurement._first_invalid`, which checks a strip
+of rows at a time. `read_records_by_concatenation` reads a record CSV by
+keeping every block's parsed columns and joining them with `np.concatenate`
+at the end, then checks the whole table: the reference for `read_records`,
+which parses each block into columns it sizes and grows in place.
 """
 
 from __future__ import annotations
 
+import bisect
 import cmath
 
 import numpy as np
@@ -38,8 +46,23 @@ from spectomo.interferometer import (
     cross_section_transform,
     warn_support_clipping,
 )
+from spectomo import measurement
 from spectomo.errors import DataFormatError
-from spectomo.measurement import _COLUMNS, _CSV_DTYPE, _SUMMED, RECORD_HEADER, THETAS, ScanTable, _field_error
+from spectomo.measurement import (
+    _COLUMNS,
+    _CSV_DTYPE,
+    _SUMMED,
+    _THETA,
+    _WRAP_FREE,
+    RECORD_HEADER,
+    THETAS,
+    ScanTable,
+    _field_error,
+    _integral,
+    _isclose,
+    _line_blocks,
+    _theta_slots,
+)
 
 _EPS = float(np.finfo(np.float64).eps)
 
@@ -249,3 +272,100 @@ def parse_block_as_floats(path, lines, first: int, integral: bool):
     if not isinstance(linenos, range):
         linenos = np.array(linenos)
     return linenos, [np.ascontiguousarray(data[name]) for name in _CSV_DTYPE.names], False
+
+
+def first_invalid_whole_table(cols: dict, checks=(), phase=None) -> tuple[int, str] | None:
+    """First row breaking a record invariant, and the reason, from one mask
+    per check over the whole table. `checks` and `phase` are (mask,
+    message(row)) pairs whose masks cover the whole table; `phase` replaces
+    the theta_slot range check."""
+    delta, tau_index, slot = cols["delta_index"], cols["tau_index"], cols["theta_slot"]
+    attempted, post = cols["shots_attempted"], cols["shots_postselected"]
+    a, b = cols["counts_a"], cols["counts_b"]
+    close = _isclose(a + b, post)
+    if a.dtype.kind == b.dtype.kind == "i":
+        wide = np.flatnonzero(
+            (a >= _WRAP_FREE) | (a <= -_WRAP_FREE) | (b >= _WRAP_FREE) | (b <= -_WRAP_FREE)
+            | (post >= _WRAP_FREE) | (post <= -_WRAP_FREE)
+        )
+        close[wide] = _isclose(a[wide] + b[wide].astype(np.float64), post[wide].astype(np.float64))
+
+    def value(col, row):
+        return col[row].item()
+
+    checks = list(checks) + [
+        (delta < 0, lambda r: f"delta_index must be nonnegative, got {value(delta, r)}"),
+        (tau_index < 0, lambda r: f"tau_index must be nonnegative, got {value(tau_index, r)}"),
+        phase or ((slot < 0) | (slot > 1), lambda r: f"theta_slot must be 0 or 1, got {value(slot, r)}"),
+        ((attempted < 0) | (a < 0) | (b < 0), lambda r: "shot and count fields must be nonnegative"),
+        (
+            post > attempted if post.dtype.kind == "i" else post > attempted + 1e-9,
+            lambda r: f"post-selected shots ({value(post, r)}) exceed attempted ({value(attempted, r)})",
+        ),
+        (
+            ~close,
+            lambda r: f"counts_A + counts_B = {value(a, r) + value(b, r)} != "
+            f"shots_postselected = {value(post, r)}",
+        ),
+    ]
+    bad = np.zeros(len(delta), dtype=bool)
+    for mask, _ in checks:
+        bad |= mask
+    if not bad.any():
+        return None
+    row = int(np.argmax(bad))
+    return row, next(message(row) for mask, message in checks if mask[row])
+
+
+def read_records_by_concatenation(path, grid) -> ScanTable:
+    """`read_records` as per-block parses joined by `np.concatenate` and
+    checked on whole-table masks by `first_invalid_whole_table`. Blocks are
+    `measurement._BLOCK_ROWS` lines, parsed by `measurement._parse_block`."""
+    names = ["theta_slot" if name == "theta" else name for name in _CSV_DTYPE.names]
+    pieces = {name: [np.zeros(0, dtype=np.int64)] for name in names}  # integer blocks join to int64
+    spans, thetas = [], []
+    rows = lineno = 0
+    integral = True
+    try:
+        with open(path) as f:
+            for lines, nul in _line_blocks(f, measurement._BLOCK_ROWS):
+                if not lineno:
+                    if lines[0].strip() != RECORD_HEADER:
+                        break
+                    del lines[0]
+                    lineno = 1
+                block = measurement._parse_block(path, lines, lineno + 1, integral and not nul)
+                lineno += len(lines)
+                if block is None:
+                    continue
+                linenos, columns, integral = block
+                theta = np.array(THETAS)[columns[_THETA]] if integral else columns[_THETA]
+                thetas.append(theta)
+                columns[_THETA] = _theta_slots(theta)[0]
+                spans.append((rows, linenos))
+                rows += len(linenos)
+                for name, col in zip(names, columns):
+                    pieces[name].append(col)
+    except UnicodeDecodeError as exc:
+        raise DataFormatError(f"{path}: not {exc.encoding} text ({exc.reason})") from exc
+    if not lineno:
+        raise DataFormatError(f"{path}: expected header {RECORD_HEADER!r}")
+    cols = {name: np.concatenate(pieces[name]) for name in names}
+    for name in ("shots_postselected", "counts_a", "counts_b"):
+        cols[name] = _integral(cols[name])
+    cols["tau"] = cols["tau_index"] * grid.d_tau
+    theta = np.concatenate([np.zeros(0)] + thetas)
+    n = grid.n
+    delta, tau_index = cols["delta_index"], cols["tau_index"]
+    out_of_range = (delta < 0) | (delta >= n) | (tau_index < 0) | (tau_index >= n)
+    phase = (
+        _theta_slots(theta)[1],
+        lambda r: f"theta_rad must be 0 or pi/2 (the two tomography phases), got {theta[r].item()!r}",
+    )
+    bad = first_invalid_whole_table(
+        cols, [(out_of_range, lambda r: f"indices out of range for an n={n} grid")], phase
+    )
+    if bad is not None:
+        first_row, linenos = spans[bisect.bisect_right([row for row, _ in spans], bad[0]) - 1]
+        raise DataFormatError(f"{path}:{linenos[bad[0] - first_row]}: {bad[1]}")
+    return ScanTable._trusted([cols[name] for name in _COLUMNS])

@@ -27,6 +27,16 @@ peaks above the table read 2.9 / 2.0 MB for `simulate_counts` (3.5 / 2.7
 before) and 3.8 / 3.8 MB for `read_records` (4.5 / 4.5 before); the bounds
 are 4 and 5 MB.
 
+`read_records` parsed into columns sized once from the file and grown in
+place peaks 3.6 / 3.8 MB above its table on that scan (2.2 / 2.4 MB when
+every block's pieces were kept and joined by `np.concatenate`): the
+columns are whole from the first block on, beside one block's text and
+fields. tracemalloc does not see what the joins cost in resident memory. A
+fresh process reading a full sampled n=512 scan (524,290 rows, a 33.6 MB
+table) grew its peak resident memory (`ru_maxrss`) by 1.84 tables with the
+joins and by 1.14 tables with columns filled in place; bound 1.3 tables,
+measured in a new interpreter so that heap other tests leave cannot set it.
+
 `save_density_matrix` of an n=256 state with a heatmap peaks 13.0 MB above
 the state when every formatted entry is held at once, and keeps 8.1 MB of it
 as a cache; formatted row by row it peaks at 4.1 MB and keeps nothing; with
@@ -55,11 +65,17 @@ buffers inside `eigh` are allocated outside tracemalloc's view.
 """
 
 import gc
+import json
+import os
+import subprocess
+import sys
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import spectomo
 from spectomo import (
     InterferometerConfig,
     SpectralDensityMatrix,
@@ -95,6 +111,8 @@ KERNEL_N = 512
 EXTRA_KERNELS = 0.5  # above the state's own kernel
 RECONSTRUCT_BANDS = 16
 RECONSTRUCT_MB = 14.5
+RSS_N = 512
+READ_RSS_TABLES = 1.3  # growth of a fresh process's peak resident memory
 
 
 def _peak_mb(fn):
@@ -154,6 +172,43 @@ def test_read_holds_little_beyond_its_table(scan, tmp_path, exact):
     table, peak, _ = _peak_mb(lambda: read_records(path, grid))
     assert table == tables[exact]
     assert peak - _table_mb(table) < READ_OVER_TABLE_MB
+
+
+# The peak resident memory of a fresh process across one read, and the table's bytes.
+_READ_RSS = """
+import json, resource, sys
+from spectomo import make_grid, read_records
+grid = make_grid(0.0, 16.0, int(sys.argv[2]))
+before = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
+table = read_records(sys.argv[1], grid)
+grown = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss - before
+print(json.dumps({"grown": grown, "table": sum(col.nbytes for col in table.columns)}))
+"""
+
+
+def test_a_fresh_process_reads_a_scan_in_little_more_than_its_table(tmp_path):
+    pytest.importorskip("resource")
+    grid = make_grid(0.0, 16.0, RSS_N)
+    state = density_from_pure(gaussian_pure(grid, 0.0, 1.0))
+    with capture():
+        table = simulate_counts(state, plan_scan(grid, RSS_N - 1, 20000, 7), InterferometerConfig(gamma=0.9))
+    path = tmp_path / "counts.csv"
+    write_records(path, table)
+    del table
+    # A new interpreter, so that heap other tests left behind cannot set the
+    # peak. Linux carries a process's peak over into the program it execs, so
+    # the reader is started by a small interpreter, not by this large one.
+    src = str(Path(spectomo.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    spawn = "import subprocess, sys; sys.exit(subprocess.run(sys.argv[1:]).returncode)"
+    done = subprocess.run(
+        [sys.executable, "-c", spawn, sys.executable, "-c", _READ_RSS, str(path), str(RSS_N)],
+        env=env, capture_output=True, text=True, check=True,
+    )
+    read = json.loads(done.stdout)
+    assert read["table"] == (2 * RSS_N * RSS_N + 2) * 64
+    unit = 1 if sys.platform == "darwin" else 1024  # ru_maxrss is in bytes on macOS, KiB elsewhere
+    assert read["grown"] * unit < READ_RSS_TABLES * read["table"]
 
 
 @pytest.mark.parametrize("exact", [False, True], ids=["sampled", "exact"])

@@ -37,6 +37,7 @@ from spectomo import (
     time_jitter_state,
 )
 from spectomo import reconstruction
+from spectomo.measurement import THETAS
 from conftest import exact_records, raw_kernel
 
 IDEAL = InterferometerConfig()
@@ -157,6 +158,22 @@ def test_missing_cells_of_every_band_in_one_error(grid64, standard_states):
     with pytest.raises(MissingSettingsError) as excinfo:
         reconstruct_records(table[~dropped], grid64)
     assert excinfo.value.missing == [(1, 5, math.pi / 2), (3, 9, 0.0)]
+
+
+def test_missing_cells_are_found_where_the_cells_count_whole_bands(grid64, standard_states):
+    # Half of band 0 and the other half of band 1 hold as many cells as one
+    # whole band: the cell count alone would pass them.
+    n = grid64.n
+    table = exact_records(standard_states["pure-gaussian"], max_delta_index=2)
+    dropped = ((table.delta_index == 0) & (table.tau_index >= n // 2)) | (
+        (table.delta_index == 1) & (table.tau_index < n // 2)
+    )
+    assert (len(table) - 2 - int(dropped.sum())) % (2 * n) == 0
+    with pytest.raises(MissingSettingsError) as excinfo:
+        estimate_cross_section(table[~dropped], 1.0 + 0.0j, grid64)
+    assert excinfo.value.missing == [
+        (delta, tau, theta) for delta, taus in ((0, range(n // 2, n)), (1, range(n // 2))) for tau in taus for theta in THETAS
+    ]
 
 
 @pytest.mark.parametrize("delta_index, tau_index", [(0, 16), (16, 0)])

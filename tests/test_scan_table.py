@@ -31,7 +31,14 @@ from spectomo import measurement
 from spectomo.cli import main
 from spectomo.diagnostics import capture
 from spectomo.measurement import RECORD_HEADER, THETAS
-from oracles import parse_block_as_floats, pool_by_unique, records_csv_by_rows
+from conftest import piped
+from oracles import (
+    first_invalid_whole_table,
+    parse_block_as_floats,
+    pool_by_unique,
+    read_records_by_concatenation,
+    records_csv_by_rows,
+)
 
 GRID = make_grid(0.0, 16.0, 16)
 PROPERTY = settings(
@@ -623,6 +630,211 @@ def test_blocks_span_text_reads(tmp_path, monkeypatch):
     path.write_bytes(_csv_text(table, newline="\r\n", blank=range(2, 3000, 7)).encode())
     assert path.stat().st_size > 3 * 2**16
     assert _read_in_blocks(path, monkeypatch, grid) == table
+
+
+# ---------------------------------------------------------------------------
+# Record checks a strip at a time, and the read's column sizing
+# ---------------------------------------------------------------------------
+
+STRIP = 4  # rows per check strip, and lines per CSV block, in these tests
+
+# Ways to break a row (delta, tau, slot, attempted, post, a, b), each by one
+# check; "out-of-range" breaks only a read, whose grid is GRID. A row broken
+# twice, in one way or two, stays broken.
+BREAKS = {
+    "delta-negative": lambda r: r.update(delta=-1 - abs(r["delta"])),
+    "tau-negative": lambda r: r.update(tau=-1 - abs(r["tau"])),
+    "phase": lambda r: r.update(slot=2),  # a table's slot 2, a file's theta 0.5
+    "negative-count": lambda r: r.update(a=r["post"] + 1, b=-1),
+    "post-exceeds-attempted": lambda r: r.update(attempted=r["post"] - 1),
+    "sum": lambda r: r.update(b=r["b"] + 1),
+    "out-of-range": lambda r: r.update(delta=GRID.n + abs(r["delta"])),
+}
+
+
+@st.composite
+def _valid_rows(draw, size):
+    rows = []
+    for _ in range(size):
+        attempted = draw(st.integers(1, 10**6))
+        post = draw(st.integers(1, attempted))
+        a = draw(st.integers(0, post))
+        delta, tau = draw(st.integers(0, GRID.n - 1)), draw(st.integers(0, GRID.n - 1))
+        rows.append(dict(delta=delta, tau=tau, slot=draw(st.integers(0, 1)), attempted=attempted, post=post, a=a, b=post - a))
+    return rows
+
+
+def _table_outcome(cols):
+    try:
+        ScanTable(*(cols[name] for name in measurement._COLUMNS))
+    except ValueError as exc:
+        return str(exc)
+    return None
+
+
+def _check_strips_against_the_oracle(tmp_path, rows, breaks, real_counts):
+    """Break `rows` as `breaks` (row, kind) says, then compare the table
+    constructor's and the read's first bad row and message with the whole-table
+    oracles, in strips and blocks of STRIP rows."""
+    rows = [dict(row) for row in rows]
+    for row, kind in breaks:
+        BREAKS[kind](rows[row])
+    names = ("delta", "tau", "slot", "tau", "attempted", "post", "a", "b")
+    cols = {
+        name: measurement._column(name, [row[key] * (GRID.d_tau if name == "tau" else 1) for row in rows])
+        for name, key in zip(measurement._COLUMNS, names)
+    }
+    expected = first_invalid_whole_table(cols)
+    theta = {0: repr(THETAS[0]), 1: repr(THETAS[1])}
+    count = "{}.0".format if real_counts else "{}".format
+    path = tmp_path / "records.csv"
+    path.write_text(RECORD_HEADER + "\n" + "".join(
+        f"{r['delta']},{r['tau']},{theta.get(r['slot'], '0.5')},{r['attempted']},"
+        f"{count(r['post'])},{count(r['a'])},{count(r['b'])}\n"
+        for r in rows
+    ))
+    with pytest.MonkeyPatch.context() as m:
+        m.setattr(measurement, "_BLOCK_ROWS", STRIP)
+        assert _table_outcome(cols) == (None if expected is None else f"row {expected[0]}: {expected[1]}")
+        read = _read_outcome(path, GRID)
+        try:
+            oracle = read_records_by_concatenation(path, GRID)
+        except DataFormatError as exc:
+            oracle = str(exc)
+    assert _columns(read) == _columns(oracle)
+    assert isinstance(read, str)  # every break breaks a read
+    return expected, read
+
+
+@st.composite
+def broken_tables(draw):
+    """Valid rows filling one to three strips, and one to three (row, kind)
+    breaks, rows either side of a strip boundary drawn as often as any."""
+    size = draw(st.integers(1, 3 * STRIP))
+    edges = [row for start in range(STRIP, size, STRIP) for row in (start - 1, start)]
+    row = st.integers(0, size - 1)
+    if edges:
+        row = st.one_of(row, st.sampled_from(edges))
+    breaks = draw(st.lists(st.tuples(row, st.sampled_from(sorted(BREAKS))), min_size=1, max_size=3))
+    return draw(_valid_rows(size)), breaks, draw(st.booleans())
+
+
+@settings(max_examples=150, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(case=broken_tables())
+def test_strip_checks_name_the_whole_table_checks_first_bad_row(tmp_path, case):
+    _check_strips_against_the_oracle(tmp_path, *case)
+
+
+_ROWS = [
+    dict(delta=d, tau=k, slot=k % 2, attempted=1000 + k, post=900 + k, a=400 + d, b=500 + k - d)
+    for d, k in zip([0, 3, 5, 15] * 3, range(12))
+]
+
+
+@pytest.mark.parametrize("kind", sorted(BREAKS))
+@pytest.mark.parametrize("row", [STRIP - 1, STRIP, 2 * STRIP - 1, 2 * STRIP])
+def test_strip_checks_at_a_strip_boundary(tmp_path, kind, row):
+    expected, read = _check_strips_against_the_oracle(tmp_path, _ROWS, [(row, kind)], False)
+    assert read == f"{tmp_path / 'records.csv'}:{row + 2}: " + read.split(": ", 1)[1]
+    if kind != "out-of-range":
+        assert expected[0] == row
+
+
+@pytest.mark.parametrize("kind", sorted(BREAKS))
+def test_strip_checks_with_bad_rows_in_two_strips(tmp_path, kind):
+    later = sorted(BREAKS)[(sorted(BREAKS).index(kind) + 1) % len(BREAKS)]
+    for breaks in ([(STRIP + 1, kind), (2 * STRIP + 2, later)], [(2 * STRIP + 2, later), (STRIP + 1, kind)]):
+        _, read = _check_strips_against_the_oracle(tmp_path, _ROWS, breaks, False)
+        assert read.startswith(f"{tmp_path / 'records.csv'}:{STRIP + 3}: ")
+
+
+@pytest.mark.parametrize("first", sorted(BREAKS))
+@pytest.mark.parametrize("second", sorted(BREAKS))
+def test_strip_checks_of_a_row_failing_two_checks(tmp_path, first, second):
+    if first != second:
+        _check_strips_against_the_oracle(tmp_path, _ROWS, [(STRIP + 2, first), (STRIP + 2, second)], True)
+
+
+def _capacity_calls(monkeypatch):
+    """Each (needed, capacity, size, result) that `_capacity` is called with."""
+    calls = []
+    capacity = measurement._capacity
+
+    def spy(needed, current, lines, chars, size):
+        calls.append((needed, current, size, capacity(needed, current, lines, chars, size)))
+        return calls[-1][-1]
+
+    monkeypatch.setattr(measurement, "_capacity", spy)
+    return calls
+
+
+def _line(d, k, slot, attempted, post, a):
+    return f"{d},{k},{THETAS[slot]!r},{attempted},{post},{a},{post - a}"
+
+
+_SHORT = [_line(0, k % 16, k % 2, 9, 9, k % 10) for k in range(40)]
+_LONG = [_line(15, k, k % 2, 10**18 + k, 10**18, 4 * 10**17 + k) for k in range(8)]
+_BIG = 2**53 + 1
+
+# Record texts, each with what its columns' sizing must have done.
+SIZING = {
+    # The first block's lines are longer than the rest: the file's size over
+    # them falls short of its rows, so the columns grow.
+    "long-lines-first": (_LONG + _SHORT, "grown"),
+    # Shorter first: the estimate holds every row and the rest is cut off.
+    "short-lines-first": (_SHORT + _LONG, "cut"),
+    "blank-and-trailing-blank-lines": (_SHORT[:9] + ["", ""] + _SHORT[9:30] + [""] * 9, "cut"),
+    # Integer text up to a count of 2**53 + 1, then a fraction: every count
+    # column turns float64 as np.concatenate rounds it, 2**53 + 1 to 2**53.
+    "integer-blocks-then-a-float-block": (
+        [_line(0, k, 0, _BIG, _BIG, _BIG - k) for k in range(7)] + ["0,7,0.0,10,10,9.5,0.5"] + _SHORT[:6], "grown",
+    ),
+    "header-only": ([], None),
+}
+
+
+@pytest.mark.parametrize("source", ["file", "pipe"])
+@pytest.mark.parametrize("case", sorted(SIZING))
+def test_read_sizes_its_columns_as_the_concatenating_read_joins_them(tmp_path, monkeypatch, case, source):
+    lines, sized = SIZING[case]
+    data = (RECORD_HEADER + "\n" + "".join(line + "\n" for line in lines)).encode()
+    path = tmp_path / "records.csv"
+    path.write_bytes(data)
+    monkeypatch.setattr(measurement, "_BLOCK_ROWS", STRIP)
+    expected = read_records_by_concatenation(path, GRID)
+    calls = _capacity_calls(monkeypatch)
+    if source == "pipe":
+        with piped(tmp_path / "pipe.csv", data) as pipe:
+            table = read_records(pipe, GRID)
+    else:
+        table = read_records(path, GRID)
+    assert _columns(table) == _columns(expected)
+    assert len(table) == sum(1 for line in lines if line)
+    if sized is None:
+        assert calls == [] and all(col.dtype.kind in "if" for col in table.columns)
+        return
+    sizes = {size for *_, size, _ in calls}
+    assert sizes == ({None} if source == "pipe" else {len(data) - len(RECORD_HEADER) - 1})  # the text after the header
+    if source == "pipe":  # no size: the columns hold the first block, then grow
+        assert calls[0][-1] == calls[0][0] == STRIP - 1 and len(calls) > 1
+    elif sized == "grown":
+        assert len(calls) > 1 and calls[0][-1] < len(table)
+    else:  # sized once, past the rows: cut at the end
+        assert len(calls) == 1 and calls[0][-1] > len(table)
+    if "float" in case:
+        assert table.counts_a.dtype == np.float64 and table.counts_a[0] == 2.0**53
+
+
+def test_a_pipes_columns_grow_by_a_quarter_at_least(tmp_path, monkeypatch):
+    table = _scan(max_delta_index=15)  # 514 rows, in 129 blocks of 4 lines
+    path = tmp_path / "records.csv"
+    write_records(path, table)
+    monkeypatch.setattr(measurement, "_BLOCK_ROWS", STRIP)
+    calls = _capacity_calls(monkeypatch)
+    with piped(tmp_path / "pipe.csv", path.read_bytes()) as pipe:
+        assert read_records(pipe, GRID) == table
+    assert all(result >= current + current // 4 for _, current, _, result in calls)
+    assert len(calls) < 25
 
 
 def _reconstruct_exit(tmp_path, edit, capsys):
